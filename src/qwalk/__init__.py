@@ -19,6 +19,7 @@ from .walk import (
     evolve,
     init_state,
     position_distribution,
+    propagate,
     step_unitary,
 )
 from .decoherence import (

@@ -16,9 +16,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +44,10 @@ from .walk import (
     SYMMETRIC_IC,
     UP_IC,
     InitialCoinState,
+    PositionDistribution,
     evolve,
     position_distribution,
+    propagate,
 )
 
 __all__ = ["ExperimentConfig", "SweepGrid", "ConfigError", "SelfCheckError", "main"]
@@ -55,6 +60,9 @@ EXPERIMENTS = (
     "compare_returns",
     "price_path",
 )
+
+#: walks per batched propagate call in the grid sweeps
+_CHUNK = 64
 
 _IC_PRESETS = {
     "symmetric": SYMMETRIC_IC,
@@ -159,7 +167,10 @@ def _number(doc: dict, key: str, path: str, lo=None, hi=None) -> float:
     v = doc.get(key)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(_join(path, key), f"expected a number, got {v!r}")
-    v = float(v)
+    # an integer literal past the float range counts as infinite
+    v = float(v) if isinstance(v, float) or abs(v) < 2**1023 else math.inf
+    if not math.isfinite(v):
+        raise ConfigError(_join(path, key), f"must be finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(_join(path, key), f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -343,7 +354,7 @@ def _validate_params(cfg: ExperimentConfig):
         if "initial_state" in p:
             _parse_ic(p["initial_state"], "initial_state")
     elif exp == "entropy":
-        _parse_range(p.get("theta_grid"), "theta_grid")
+        start, stop, _ = _parse_range(p.get("theta_grid"), "theta_grid")
         _parse_number_list(p, "n_values", integer=True, lo=0)
         if "p_tilde_values" in p:
             _parse_number_list(p, "p_tilde_values", lo=0.0, hi=1.0)
@@ -352,7 +363,6 @@ def _validate_params(cfg: ExperimentConfig):
         for flag in ("include_classical", "include_uniform"):
             if flag in p and not isinstance(p[flag], bool):
                 raise ConfigError(flag, "expected a boolean")
-        start, stop, _ = _parse_range(p["theta_grid"], "theta_grid")
         if stop >= math.pi / 2 - 1e-12:
             raise ConfigError("theta_grid.stop", "theta = pi/2 is excluded")
     elif exp == "decoherence":
@@ -399,14 +409,11 @@ def _parse_number_list(p: dict, key: str, integer=False, lo=None, hi=None):
     if not isinstance(values, list) or not values:
         raise ConfigError(key, "expected a non-empty list")
     for i, v in enumerate(values):
-        if integer and (not isinstance(v, int) or isinstance(v, bool)):
-            raise ConfigError(f"{key}[{i}]", f"expected an integer, got {v!r}")
-        if not integer and (not isinstance(v, (int, float)) or isinstance(v, bool)):
-            raise ConfigError(f"{key}[{i}]", f"expected a number, got {v!r}")
-        if lo is not None and v < lo:
-            raise ConfigError(f"{key}[{i}]", f"must be >= {lo}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{key}[{i}]", f"must be <= {hi}")
+        item = f"{key}[{i}]"
+        if integer:
+            _integer({item: v}, item, "", lo=lo)
+        else:
+            _number({item: v}, item, "", lo=lo, hi=hi)
     return values
 
 
@@ -484,6 +491,18 @@ def cmd_distribution(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _grid_distributions(ic: InitialCoinState, pairs, n: int):
+    """Position distributions of one walk per (xi, theta) pair, zeta = 0, in
+    order; ``_CHUNK`` walks at a time share one batched propagation."""
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, _CHUNK)):
+        coins = [make_su2_coin(CoinAngles(xi, theta, 0.0)).matrix for xi, theta in chunk]
+        a, b = propagate(ic.a0, ic.b0, coins, n)
+        probs = np.abs(a) ** 2 + np.abs(b) ** 2
+        del a, b  # freed before the next chunk propagates
+        yield from (PositionDistribution(n=n, probs=p) for p in probs)
+
+
 def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n."""
     grid = _parse_sweep_grid(cfg.params["grid"])
@@ -492,15 +511,11 @@ def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     ic = _parse_ic(cfg.params.get("initial_state", "symmetric"), "initial_state")
     header = ["eta", "theta", statistic]
     rows = []
-    for eta in grid.eta_values():
-        for theta in grid.theta_values():
-            coin = make_su2_coin(CoinAngles(xi=eta, theta=theta, zeta=0.0))
-            summary = moments(position_distribution(evolve(ic, coin, n)))
-            if statistic == "skewness":
-                value = summary.skewness
-            else:
-                value = summary.variance / n**2
-            rows.append([float(eta), float(theta), value])
+    cells, pairs = itertools.tee(itertools.product(grid.eta_values(), grid.theta_values()))
+    for (eta, theta), dist in zip(cells, _grid_distributions(ic, pairs, n)):
+        summary = moments(dist)
+        value = summary.skewness if statistic == "skewness" else summary.variance / n**2
+        rows.append([float(eta), float(theta), value])
     return header, rows
 
 
@@ -523,23 +538,14 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rows = []
     for n in n_values:
         for p_tilde in p_tildes:
-            for theta in thetas:
-                if p_tilde == 0.0:
-                    dist = position_distribution(
-                        evolve(ic, make_su2_coin(CoinAngles(0.0, theta, 0.0)), n)
-                    )
-                else:
-                    dist = run_ensemble(
-                        ic,
-                        theta,
-                        DecoherenceSpec.random_phase(p_tilde),
-                        n,
-                        cfg.realizations,
-                        cfg.seed,
-                    ).mean
-                rows.append(
-                    ["quantum", n, float(p_tilde), float(theta), moments(dist).entropy]
-                )
+            if p_tilde == 0.0:
+                dists = _grid_distributions(ic, ((0.0, t) for t in thetas), n)
+            else:
+                spec = DecoherenceSpec.random_phase(p_tilde)
+                dists = (run_ensemble(ic, t, spec, n, cfg.realizations, cfg.seed).mean
+                         for t in thetas)
+            for theta, dist in zip(thetas, dists):
+                rows.append(["quantum", n, float(p_tilde), float(theta), moments(dist).entropy])
         if include_classical:
             h_classical = moments(classical_rw_distribution(n)).entropy
             for theta in thetas:
@@ -690,6 +696,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """Write beside ``path`` under a temporary name; rename it into place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_outputs(
     cfg: ExperimentConfig, header: list[str], rows: list[list], out_dir: Path
 ) -> list[Path]:
@@ -705,15 +723,14 @@ def write_outputs(
     written = []
     if cfg.out_format == "csv":
         csv_path = out_dir / f"{cfg.experiment}.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        with _atomic_open(csv_path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_format_cell(v) for v in row])
         meta_path = out_dir / f"{cfg.experiment}.meta.json"
-        meta_path.write_text(
-            json.dumps(metadata, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with _atomic_open(meta_path) as fh:
+            fh.write(json.dumps(metadata, sort_keys=True, indent=2) + "\n")
         written += [csv_path, meta_path]
     else:
         doc = {
@@ -722,9 +739,8 @@ def write_outputs(
             "rows": [[_format_cell(v) for v in row] for row in rows],
         }
         json_path = out_dir / f"{cfg.experiment}.json"
-        json_path.write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with _atomic_open(json_path) as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         written.append(json_path)
     return written
 
@@ -763,18 +779,11 @@ def run(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    overrides = {"seed": args.seed, "realizations": args.realizations, "format": args.format}
+    if isinstance(raw, dict):  # overrides pass the same checks as the config
+        raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         cfg = parse_config(raw, experiment=experiment)
-        if args.seed is not None or args.realizations is not None or args.format:
-            cfg = ExperimentConfig(
-                experiment=cfg.experiment,
-                seed=args.seed if args.seed is not None else cfg.seed,
-                realizations=args.realizations
-                if args.realizations is not None
-                else cfg.realizations,
-                out_format=args.format or cfg.out_format,
-                params=cfg.params,
-            )
         header, rows = _COMMANDS[experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,9 +86,6 @@ class CoinOperator:
         if det_err > UNITARITY_TOL:
             raise ValueError(f"coin determinant modulus deviates by {det_err:.3e}")
 
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.matrix[i, j])
-
 
 def make_su2_coin(angles: CoinAngles) -> CoinOperator:
     """Build the three-angle coin operator for the given ``CoinAngles``.

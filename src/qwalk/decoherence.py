@@ -30,6 +30,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from .walk import (
     WalkState,
     evolve,
     position_distribution,
+    propagate,
 )
 
 __all__ = [
@@ -266,28 +268,25 @@ def _evolve_broken_chunk(ic, theta, p, n, seed, start, count):
     return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
-def _evolve_phase_chunk(ic, theta, p_tilde, n, seed, start, count):
-    """Position probabilities for realizations of a random-phase ensemble."""
+@functools.lru_cache(maxsize=8)
+def _phase_draws(seed, n, start, count):
+    """Read-only (accept, phase) uniforms of realizations start..start+count-1;
+    they do not depend on theta or p_tilde, so one copy serves a whole sweep."""
     draws = np.empty((count, n, 2))
     for i in range(count):
-        rng = realization_rng(seed, start + i)
-        draws[i] = rng.random((n, 2))
+        draws[i] = realization_rng(seed, start + i).random((n, 2))
+    draws.setflags(write=False)
+    return draws
+
+
+def _evolve_phase_chunk(ic, theta, p_tilde, n, seed, start, count):
+    """Position probabilities for realizations of a random-phase ensemble."""
+    draws = _phase_draws(seed, n, start, count)
     zetas = np.where(draws[:, :, 0] < p_tilde, TWO_PI * draws[:, :, 1], 0.0)
+    phase = np.exp(1j * zetas.T)  # (n, count): the coin phase of step k
     ct, st = math.cos(theta), math.sin(theta)
-    a = np.zeros((count, 2 * n + 1), dtype=complex)
-    b = np.zeros((count, 2 * n + 1), dtype=complex)
-    a[:, n] = ic.a0
-    b[:, n] = ic.b0
-    a_next = np.empty_like(a)
-    b_next = np.empty_like(b)
-    for k in range(n):
-        phase = np.exp(1j * zetas[:, k])[:, None]
-        up = ct * a + st * phase * b
-        dn = (st / phase) * a - ct * b
-        a_next[:, 0] = 0.0
-        a_next[:, 1:] = up[:, :-1]
-        b_next[:, -1] = 0.0
-        b_next[:, :-1] = dn[:, 1:]
-        a, a_next = a_next, a
-        b, b_next = b_next, b
+    coins = np.empty((n, 2, 2, count), dtype=complex)  # propagate's own layout
+    coins[:, 0, 0], coins[:, 0, 1] = ct, st * phase
+    coins[:, 1, 0], coins[:, 1, 1] = st / phase, -ct
+    a, b = propagate(ic.a0, ic.b0, coins.transpose(0, 3, 1, 2), n)
     return np.abs(a) ** 2 + np.abs(b) ** 2

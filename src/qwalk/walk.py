@@ -28,6 +28,7 @@ __all__ = [
     "PositionDistribution",
     "init_state",
     "step_unitary",
+    "propagate",
     "evolve",
     "position_distribution",
 ]
@@ -158,14 +159,47 @@ def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
     return WalkState(n=state.n + 1, offset=state.offset + 1, a=a_next, b=b_next)
 
 
+def propagate(a0, b0, coins, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance B walks started at site 0 by ``n`` coin-and-shift steps at once.
+
+    ``a0``, ``b0``: initial coin amplitudes, scalars or shape (B,).  ``coins``:
+    one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
+    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k touches only
+    the support [-k, k]; per site it is :func:`step_unitary`, bit for bit.
+    """
+    coins = np.asarray(coins, dtype=complex)
+    if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
+        raise ValueError(f"coins must be (B, 2, 2) or (n, B, 2, 2), got {coins.shape}")
+    shape = (2 * n + 1, coins.shape[-3])
+    # sites-major: every window is one contiguous block, every coin entry a row
+    c = np.broadcast_to(np.ascontiguousarray(np.moveaxis(coins, -3, -1)), (n, 2, 2, shape[1]))
+    a, b, a_next, b_next = (np.zeros(shape, dtype=complex) for _ in range(4))
+    a[n], b[n] = a0, b0
+    for k, ((c00, c01), (c10, c11)) in enumerate(c):
+        # ping-pong: the buffer written now held step k-1, whose support
+        # [-k+1, k-1] lies inside the new one, so no stale value survives;
+        # dn, then the spent b_src, hold the second product of each sum
+        a_src, b_src = a[n - k : n + k + 1], b[n - k : n + k + 1]
+        up, dn = a_next[n - k + 1 : n + k + 2], b_next[n - k - 1 : n + k]
+        np.multiply(c00, a_src, out=up)
+        np.multiply(c01, b_src, out=dn)
+        np.add(up, dn, out=up)
+        np.multiply(c11, b_src, out=dn)
+        np.multiply(c10, a_src, out=b_src)
+        np.add(b_src, dn, out=dn)
+        a, a_next, b, b_next = a_next, a, b_next, b
+    # the spent buffers take the results in (B, 2n+1) order
+    a_out, b_out = a_next.reshape(shape[::-1]), b_next.reshape(shape[::-1])
+    a_out[...], b_out[...] = a.T, b.T
+    return a_out, b_out
+
+
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:
     """Apply ``n`` coin-and-shift steps to the walker started at the origin."""
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
-    state = init_state(ic)
-    for _ in range(n):
-        state = step_unitary(state, coin)
-    return state
+    a, b = propagate(ic.a0, ic.b0, coin.matrix[None], n)
+    return WalkState(n=n, offset=n, a=a[0], b=b[0])
 
 
 def position_distribution(state: WalkState) -> PositionDistribution:

@@ -6,6 +6,7 @@ import pytest
 
 from qwalk.cli import (
     ConfigError,
+    ExperimentConfig,
     SweepGrid,
     cmd_compare_returns,
     cmd_decoherence,
@@ -15,6 +16,7 @@ from qwalk.cli import (
     cmd_price_path,
     parse_config,
     run,
+    write_outputs,
 )
 from qwalk.coin import make_theta_coin
 from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution
@@ -342,3 +344,75 @@ def test_csv_uses_full_precision(tmp_path):
     assert lines[0] == "eta,theta,variance_over_n2"
     value = lines[1].split(",")[2]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def _run_decoherence_with_theta(tmp_path, literal, capsys):
+    # the literal goes into the JSON text as written: NaN and Infinity are
+    # accepted by Python's JSON reader, and 1e400 reads as inf
+    text = json.dumps(dict(DECOHERENCE_DOC, theta=0.5)).replace("0.5", literal)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    code = run(["decoherence", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+def test_cli_rejects_nan_config_number(tmp_path, capsys):
+    code, err = _run_decoherence_with_theta(tmp_path, "NaN", capsys)
+    assert code == 2 and "theta: must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_infinity_config_number(tmp_path, capsys):
+    code, err = _run_decoherence_with_theta(tmp_path, "-Infinity", capsys)
+    assert code == 2 and "theta: must be finite" in err
+
+
+def test_cli_rejects_overflowing_config_number(tmp_path, capsys):
+    code, err = _run_decoherence_with_theta(tmp_path, "1e400", capsys)
+    assert code == 2 and "theta: must be finite" in err
+    code, err = _run_decoherence_with_theta(tmp_path, "1" + "0" * 400, capsys)
+    assert code == 2 and "theta: must be finite" in err
+
+
+def test_non_finite_numbers_in_lists_rejected():
+    with pytest.raises(ConfigError, match=r"p_values\[1\]"):
+        make_cfg(dict(DECOHERENCE_DOC, p_values=[0.1, float("nan")]))
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--realizations", "0")])
+def test_cli_override_flags_are_validated(tmp_path, capsys, flag, value):
+    cfg_path = write_config(tmp_path, DECOHERENCE_DOC)
+    argv = ["decoherence", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert run(argv + [flag, value]) == 2
+    assert f"{flag[2:]}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_override_flags_set_the_effective_config(tmp_path):
+    cfg_path = write_config(tmp_path, DECOHERENCE_DOC)
+    out = tmp_path / "o"
+    argv = ["decoherence", "--config", str(cfg_path), "--out", str(out)]
+    assert run(argv + ["--realizations", "3", "--format", "json"]) == 0
+    meta = json.loads((out / "decoherence.json").read_text())["metadata"]
+    assert (meta["seed"], meta["realizations"], meta["config"]["format"]) == (5, 3, "json")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format this cell")
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    cfg = ExperimentConfig("heatmap", 0, 1, "csv", {})
+    out = tmp_path / "o"
+    good = [[0.1, 0.2, 0.3]]
+    write_outputs(cfg, ["eta", "theta", "skewness"], good, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    rows = good * 5000 + [[0.1, 0.2, _Unprintable()]]
+    with pytest.raises(RuntimeError):
+        write_outputs(cfg, ["eta", "theta", "skewness"], rows, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    with pytest.raises(RuntimeError):
+        write_outputs(cfg, ["eta", "theta", "skewness"], rows, fresh)
+    assert list(fresh.iterdir()) == []

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import binomial_probs, entropy_nats, random_ic
-from qwalk.coin import make_theta_coin, sample_random_phase_coin
+from qwalk import decoherence
+from qwalk.cli import cmd_entropy, parse_config
+from qwalk.coin import TWO_PI, make_theta_coin, sample_random_phase_coin
 from qwalk.decoherence import (
     DecoherenceSpec,
     LinkMask,
@@ -237,3 +239,52 @@ def test_broken_links_spread_slower_than_unitary():
 def test_realization_count_validated():
     with pytest.raises(ValueError):
         run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.none(), 5, 0, 1)
+
+
+def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
+    """The random-phase engine as a per-step loop over the whole chunk, with
+    the coin [[c, s e^{i zeta}], [s e^{-i zeta}, -c]] written out inline."""
+    draws = np.array([realization_rng(seed, start + i).random((n, 2)) for i in range(count)])
+    zetas = np.where(draws[:, :, 0] < p_tilde, TWO_PI * draws[:, :, 1], 0.0)
+    ct, st = math.cos(theta), math.sin(theta)
+    a = np.zeros((count, 2 * n + 1), dtype=complex)
+    b = np.zeros((count, 2 * n + 1), dtype=complex)
+    a[:, n], b[:, n] = ic.a0, ic.b0
+    for k in range(n):
+        phase = np.exp(1j * zetas[:, k])[:, None]
+        up = ct * a + st * phase * b
+        dn = (st / phase) * a - ct * b
+        a = np.zeros_like(a)
+        b = np.zeros_like(b)
+        a[:, 1:], b[:, :-1] = up[:, :-1], dn[:, 1:]
+    return np.abs(a) ** 2 + np.abs(b) ** 2
+
+
+@pytest.mark.parametrize("theta,p_tilde,n,count", [
+    (0.3, 0.01, 1, 3), (THETA, 0.1, 50, 128), (1.5, 1.0, 20, 64), (1.1, 0.4, 33, 5),
+])
+def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
+    ic = InitialCoinState(0.6, 0.8j)
+    got = decoherence._evolve_phase_chunk(ic, theta, p_tilde, n, 9, 3, count)
+    want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
+    assert np.array_equal(got, want)
+
+
+def test_phase_draws_are_drawn_once_per_sweep(monkeypatch):
+    calls = []
+
+    def counting_rng(seed, r):
+        calls.append(r)
+        return realization_rng(seed, r)
+
+    monkeypatch.setattr(decoherence, "realization_rng", counting_rng)
+    decoherence._phase_draws.cache_clear()
+    cfg = parse_config({
+        "experiment": "entropy", "seed": 123, "realizations": 150, "n_values": [6],
+        "theta_grid": {"start": 0.1, "stop": 1.2, "count": 5},
+        "p_tilde_values": [0.0, 0.2, 1.0],
+    })
+    cmd_entropy(cfg)
+    assert sorted(calls) == list(range(150))
+    draws = decoherence._phase_draws(123, 6, 0, 128)
+    assert not draws.flags.writeable

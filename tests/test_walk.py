@@ -15,6 +15,7 @@ from qwalk.walk import (
     evolve,
     init_state,
     position_distribution,
+    propagate,
     step_unitary,
 )
 
@@ -171,3 +172,75 @@ def test_norm_holds_to_two_thousand_steps():
     for _ in range(2000):
         state = step_unitary(state, coin)
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+def _step_loop(ic, coin, n):
+    state = init_state(ic)
+    for _ in range(n):
+        state = step_unitary(state, coin)
+    return state
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100])
+def test_propagate_single_walk_equals_step_loop_bitwise(n):
+    coin = make_su2_coin(CoinAngles(0.4, 1.1, 2.3))
+    ic = InitialCoinState(0.6, 0.8j)
+    a, b = propagate(ic.a0, ic.b0, coin.matrix[None], n)
+    state = _step_loop(ic, coin, n)
+    assert a.shape == b.shape == (1, 2 * n + 1)
+    assert np.array_equal(a[0], state.a) and np.array_equal(b[0], state.b)
+    assert np.array_equal(evolve(ic, coin, n).a, state.a)
+
+
+def test_propagate_batch_equals_per_walk_runs():
+    rng = np.random.default_rng(5)
+    coins = [
+        make_su2_coin(CoinAngles(*rng.uniform(0, 2 * math.pi, 3))) for _ in range(9)
+    ]
+    ics = [InitialCoinState(*random_ic(rng)) for _ in coins]
+    a0 = np.array([ic.a0 for ic in ics])
+    b0 = np.array([ic.b0 for ic in ics])
+    a, b = propagate(a0, b0, np.stack([c.matrix for c in coins]), 37)
+    for i, (ic, coin) in enumerate(zip(ics, coins)):
+        state = _step_loop(ic, coin, 37)
+        assert np.array_equal(a[i], state.a) and np.array_equal(b[i], state.b)
+
+
+def test_propagate_per_step_coins_match_operator_matrix_oracle():
+    # a coin per step: the dense walk operator applied step by step
+    rng = np.random.default_rng(11)
+    n, walks = 9, 3
+    coins = np.stack([
+        [make_su2_coin(CoinAngles(*rng.uniform(0, 2 * math.pi, 3))).matrix
+         for _ in range(walks)]
+        for _ in range(n)
+    ])
+    a, b = propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n)
+    for w in range(walks):
+        ra = np.array([SYMMETRIC_IC.a0])
+        rb = np.array([SYMMETRIC_IC.b0])
+        for k in range(n):
+            # one oracle step from the current state: embed it, apply once
+            psi_a, psi_b = np.zeros(2 * k + 3, complex), np.zeros(2 * k + 3, complex)
+            for j in range(2 * k + 1):
+                sa, sb = operator_matrix_evolve(ra[j], rb[j], coins[k, w], 1)
+                psi_a[j : j + 3] += sa
+                psi_b[j : j + 3] += sb
+            ra, rb = psi_a, psi_b
+        np.testing.assert_allclose(a[w], ra, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b[w], rb, atol=1e-12, rtol=0)
+
+
+def test_propagate_matches_operator_matrix_oracle():
+    coin = make_su2_coin(CoinAngles(1.3, 0.5, 0.2))
+    a, b = propagate(UP_IC.a0, UP_IC.b0, coin.matrix[None], 40)
+    a_op, b_op = operator_matrix_evolve(UP_IC.a0, UP_IC.b0, coin.matrix, 40)
+    np.testing.assert_allclose(a[0], a_op, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(b[0], b_op, atol=1e-12, rtol=0)
+
+
+def test_propagate_rejects_bad_coin_shapes():
+    with pytest.raises(ValueError):
+        propagate(1.0, 0.0, np.eye(2), 3)
+    with pytest.raises(ValueError):
+        propagate(1.0, 0.0, np.ones((2, 1, 2, 2)), 3)
