@@ -206,8 +206,10 @@ def _parse_ic(doc, path: str) -> InitialCoinState:
         and len(doc) == 2
         and all(isinstance(c, list) and len(c) == 2 for c in doc)
     ):
-        a = complex(doc[0][0], doc[0][1])
-        b = complex(doc[1][0], doc[1][1])
+        a, b = (
+            complex(*_parse_number_list({f"{path}[{i}]": row}, f"{path}[{i}]"))
+            for i, row in enumerate(doc)
+        )
         try:
             return InitialCoinState(a, b)
         except ValueError as exc:
@@ -246,9 +248,10 @@ def _parse_scaler(doc, path: str) -> DiffusionScaler:
     mode = _string(doc, "mode", path, choices={"unit", "inverse_sqrt", "custom"})
     if mode == "custom":
         _require_keys(doc, path, required=("mode", "t", "f"))
+        t, f = (_parse_number_list(doc, key, path=path) for key in ("t", "f"))
         try:
-            return DiffusionScaler.custom(doc["t"], doc["f"])
-        except (ValueError, TypeError) as exc:
+            return DiffusionScaler.custom(t, f)
+        except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     _require_keys(doc, path, required=("mode",))
     return DiffusionScaler.unit() if mode == "unit" else DiffusionScaler.inverse_sqrt()
@@ -388,28 +391,24 @@ def _validate_params(cfg: ExperimentConfig):
             if not isinstance(s, dict):
                 raise ConfigError("stable", "expected an object")
             _require_keys(s, "stable", required=("alpha", "beta"), optional=("c", "mu"))
-            try:
-                _stable_from(p)
-            except ValueError as exc:
-                raise ConfigError("stable", str(exc)) from exc
+            _stable_from(p)
         if "gaussian" in p:
             g = p["gaussian"]
             if not isinstance(g, dict):
                 raise ConfigError("gaussian", "expected an object")
             _require_keys(g, "gaussian", required=(), optional=("mu", "sigma"))
-            if "sigma" in g and _number(g, "sigma", "gaussian") <= 0:
-                raise ConfigError("gaussian.sigma", "must be positive")
+            _gaussian_from(p)
     elif exp == "price_path":
         _integer(p, "horizons", "", lo=1)
         _parse_price_model(p.get("model"))
 
 
-def _parse_number_list(p: dict, key: str, integer=False, lo=None, hi=None):
+def _parse_number_list(p: dict, key: str, integer=False, lo=None, hi=None, path=""):
     values = p.get(key)
     if not isinstance(values, list) or not values:
-        raise ConfigError(key, "expected a non-empty list")
+        raise ConfigError(_join(path, key), "expected a non-empty list")
     for i, v in enumerate(values):
-        item = f"{key}[{i}]"
+        item = f"{_join(path, key)}[{i}]"
         if integer:
             _integer({item: v}, item, "", lo=lo)
         else:
@@ -457,12 +456,21 @@ def _parse_price_model(doc) -> QwPriceModel:
 
 def _stable_from(p: dict) -> StableParams:
     s = p.get("stable", {})
-    return StableParams(
-        alpha=s.get("alpha", 0.5),
-        beta=s.get("beta", 0.5),
-        c=s.get("c", 1.0 / math.sqrt(2.0)),
-        mu=s.get("mu", 0.0),
-    )
+    defaults = {"alpha": 0.5, "beta": 0.5, "c": 1.0 / math.sqrt(2.0), "mu": 0.0}
+    kwargs = {k: _number(s, k, "stable") if k in s else v for k, v in defaults.items()}
+    try:
+        return StableParams(**kwargs)
+    except ValueError as exc:
+        raise ConfigError("stable", str(exc)) from exc
+
+
+def _gaussian_from(p: dict) -> tuple[float, float]:
+    g = p.get("gaussian", {})
+    mu = _number(g, "mu", "gaussian") if "mu" in g else 0.0
+    sigma = _number(g, "sigma", "gaussian") if "sigma" in g else 1.0
+    if sigma <= 0:
+        raise ConfigError("gaussian.sigma", "must be positive")
+    return mu, sigma
 
 
 # --------------------------------------------------------------------------
@@ -602,9 +610,7 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     p = cfg.params["p"]
     ic = _parse_ic(cfg.params.get("initial_state", "up"), "initial_state")
     start, stop, bins = _parse_range(cfg.params["axis"], "axis", count_key="bins")
-    gauss = cfg.params.get("gaussian", {})
-    g_mu = gauss.get("mu", 0.0)
-    g_sigma = gauss.get("sigma", 1.0)
+    g_mu, g_sigma = _gaussian_from(cfg.params)
     stable = _stable_from(cfg.params)
 
     edges = np.linspace(start, stop, bins + 1)
@@ -617,11 +623,9 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         [norm_cdf(b) - norm_cdf(a) for a, b in zip(edges[:-1], edges[1:])]
     )
 
-    stable_mass = np.empty(bins)
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        mid = 0.5 * (a + b)
-        fa, fm, fb = (stable_pdf(x, stable) for x in (a, mid, b))
-        stable_mass[i] = (fa + 4.0 * fm + fb) / 6.0 * (b - a)
+    # Simpson's rule per bin; neighbouring bins share their edge values
+    f_edges, f_mid = (np.array([stable_pdf(x, stable) for x in xs]) for xs in (edges, centers))
+    stable_mass = (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]) / 6.0 * (edges[1:] - edges[:-1])
 
     ensemble = run_ensemble(
         ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations, cfg.seed

@@ -55,7 +55,7 @@ __all__ = [
     "realization_rng",
 ]
 
-#: realizations per vectorized chunk in run_ensemble
+#: walks per propagate call in run_ensemble and pricing.qw_price_path
 _CHUNK = 128
 
 
@@ -217,7 +217,8 @@ def run_ensemble(
     for start in range(0, realizations, _CHUNK):
         count = min(_CHUNK, realizations - start)
         if spec.mode == "broken_links":
-            probs = _evolve_broken_chunk(ic, theta, spec.p, n, seed, start, count)
+            rngs = [realization_rng(seed, r) for r in range(start, start + count)]
+            probs = _evolve_broken_chunk(ic, theta, spec.p, n, rngs)
         else:
             probs = _evolve_phase_chunk(ic, theta, spec.p, n, seed, start, count)
         acc += probs.sum(axis=0)
@@ -238,33 +239,15 @@ def run_ensemble(
     )
 
 
-def _evolve_broken_chunk(ic, theta, p, n, seed, start, count):
-    """Positions probabilities, shape (count, 2n+1), for realizations
-    start..start+count-1 of a broken-links ensemble."""
-    masks = np.empty((count, n, 2 * n + 2), dtype=bool)
-    for i in range(count):
-        rng = realization_rng(seed, start + i)
-        masks[i] = rng.random((n, 2 * n + 2)) < p
+def _evolve_broken_chunk(ic, theta, p, n, rngs):
+    """Position probabilities, a C-contiguous (len(rngs), 2n+1) array, of one
+    broken-links walk per generator, each drawing ``random((n, 2n+2))``."""
+    masks = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
+    for mask, rng in zip(masks, rngs):
+        np.less(rng.random((n, 2 * n + 2)), p, out=mask)
     ct, st = math.cos(theta), math.sin(theta)
-    size = 2 * n + 1
-    a = np.zeros((count, size), dtype=complex)
-    b = np.zeros((count, size), dtype=complex)
-    a[:, n] = ic.a0
-    b[:, n] = ic.b0
-    u_sr = np.empty_like(a)
-    d_sl = np.empty_like(b)
-    for k in range(n):
-        u = ct * a + st * b
-        d = st * a - ct * b
-        u_sr[:, 0] = 0.0
-        u_sr[:, 1:] = u[:, :-1]
-        d_sl[:, -1] = 0.0
-        d_sl[:, :-1] = d[:, 1:]
-        m = masks[:, k, :]
-        # site index i = j + n: left link (j-1, j) is universe column i,
-        # right link (j, j+1) is universe column i+1
-        a = np.where(m[:, :-1], d, u_sr)
-        b = np.where(m[:, 1:], u, d_sl)
+    coins = np.broadcast_to(np.array([[ct, st], [st, -ct]], dtype=complex), (len(rngs), 2, 2))
+    a, b = propagate(ic.a0, ic.b0, coins, n, broken=masks)
     return np.abs(a) ** 2 + np.abs(b) ** 2
 
 

@@ -24,16 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import CoinAngles, make_su2_coin, sample_random_phase_coin
-from .decoherence import DecoherenceSpec, LinkMask, run_ensemble, step_broken_links
+from . import decoherence
+from .coin import TWO_PI, CoinAngles, make_su2_coin
+from .decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from .stats import moments
 from .walk import (
     InitialCoinState,
     PositionDistribution,
     evolve,
-    init_state,
     position_distribution,
-    step_unitary,
+    propagate,
 )
 
 __all__ = [
@@ -203,26 +203,21 @@ def qw_return_distribution(
     )
 
 
-def _single_realization_distribution(
-    model: QwPriceModel, rng: np.random.Generator
-) -> PositionDistribution:
-    """One stochastic walk realization driven by ``rng`` (same draw pattern
-    as the ensemble engine)."""
-    n = model.steps_per_horizon
-    spec = model.decoherence
-    state = init_state(model.ic)
+def _horizon_probs(model: QwPriceModel, rngs: list) -> np.ndarray:
+    """Position probabilities, (len(rngs), 2n+1), of one stochastic walk per
+    generator, as one batch.  Random-phase walks draw ``random((n, 2))`` and
+    use the coins of :func:`qwalk.coin.sample_random_phase_coin`, bit for bit."""
+    n, spec, theta = model.steps_per_horizon, model.decoherence, model.angles.theta
     if spec.mode == "broken_links":
-        thresholds = rng.random((n, 2 * n + 2))
-        for k in range(n):
-            window = thresholds[k, n - k : n + k + 2] < spec.p
-            state = step_broken_links(
-                state, model.angles.theta, LinkMask(window, lo=-k - 1)
-            )
-    else:
-        for _ in range(n):
-            coin = sample_random_phase_coin(model.angles.theta, spec.p, rng)
-            state = step_unitary(state, coin)
-    return position_distribution(state)
+        return decoherence._evolve_broken_chunk(model.ic, theta, spec.p, n, rngs)
+    draws = np.array([rng.random((n, 2)) for rng in rngs]).T  # (2, n, count)
+    zetas = np.where(draws[0] < spec.p, TWO_PI * draws[1], 0.0)
+    ct, st = math.cos(theta), math.sin(theta)
+    coins = np.empty((n, 2, 2, len(rngs)), dtype=complex)  # propagate's own layout
+    coins[:, 0, 0], coins[:, 0, 1] = ct, np.exp(1j * zetas) * st
+    coins[:, 1, 0], coins[:, 1, 1] = np.exp(-1j * zetas) * st, -ct
+    a, b = propagate(model.ic.a0, model.ic.b0, coins.transpose(0, 3, 1, 2), n)
+    return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
 def qw_price_path(
@@ -253,22 +248,19 @@ def qw_price_path(
             raise ValueError("walk distribution has zero variance; cannot calibrate")
         lattice_scale = 1.0 / (f_val * math.sqrt(summary.variance))
 
+    n = model.steps_per_horizon
+    sites = np.arange(-n, n + 1)
+    unitary = _model_distribution(model, seed, 1) if model.decoherence.mode == "none" else None
     prices = np.empty(total_steps + 1)
     prices[0] = model.s0
-    unitary_dist = None
-    for h in range(total_steps):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(h,))
-        )
-        if model.decoherence.mode == "none":
-            if unitary_dist is None:
-                unitary_dist = _model_distribution(model, seed, 1)
-            dist = unitary_dist
-        else:
-            dist = _single_realization_distribution(model, rng)
-        j = int(rng.choice(dist.sites, p=dist.probs / dist.total()))
-        r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
-        prices[h + 1] = prices[h] * math.exp(r)
+    for start in range(0, total_steps, decoherence._CHUNK):
+        horizons = range(start, min(start + decoherence._CHUNK, total_steps))
+        rngs = [realization_rng(seed, h) for h in horizons]
+        probs = _horizon_probs(model, rngs) if unitary is None else [unitary.probs] * len(rngs)
+        for h, rng, p in zip(horizons, rngs, probs):
+            j = int(rng.choice(sites, p=p / p.sum()))
+            r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
+            prices[h + 1] = prices[h] * math.exp(r)
     return prices
 
 

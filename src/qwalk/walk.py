@@ -159,18 +159,26 @@ def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
     return WalkState(n=state.n + 1, offset=state.offset + 1, a=a_next, b=b_next)
 
 
-def propagate(a0, b0, coins, n: int) -> tuple[np.ndarray, np.ndarray]:
+def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarray]:
     """Advance B walks started at site 0 by ``n`` coin-and-shift steps at once.
 
     ``a0``, ``b0``: initial coin amplitudes, scalars or shape (B,).  ``coins``:
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
-    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k touches only
+    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k reads only
     the support [-k, k]; per site it is :func:`step_unitary`, bit for bit.
+
+    ``broken``: optional (B, n, 2n+2) bool link flags; ``broken[i, k, c]`` breaks
+    the link (c-n-1, c-n) at step k of walk i.  A broken link (j, j+1) swaps the
+    up output bound for j+1 with the down output bound for j, so both stay at
+    their own site in the other component; with the single-angle coin this is
+    :func:`qwalk.decoherence.step_broken_links`, bit for bit.
     """
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
         raise ValueError(f"coins must be (B, 2, 2) or (n, B, 2, 2), got {coins.shape}")
     shape = (2 * n + 1, coins.shape[-3])
+    if broken is not None and broken.shape != (shape[1], n, 2 * n + 2):
+        raise ValueError(f"broken must be {(shape[1], n, 2 * n + 2)}, got {broken.shape}")
     # sites-major: every window is one contiguous block, every coin entry a row
     c = np.broadcast_to(np.ascontiguousarray(np.moveaxis(coins, -3, -1)), (n, 2, 2, shape[1]))
     a, b, a_next, b_next = (np.zeros(shape, dtype=complex) for _ in range(4))
@@ -187,6 +195,14 @@ def propagate(a0, b0, coins, n: int) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(c11, b_src, out=dn)
         np.multiply(c10, a_src, out=b_src)
         np.add(b_src, dn, out=dn)
+        if broken is not None:
+            # links [-k-1, k] are crossed by the up outputs at sites [-k, k+1]
+            # and the down outputs at [-k-1, k] (the outermost still 0); the
+            # windows are contiguous, so each flat view writes through
+            hit = np.flatnonzero(broken[:, k, n - k : n + k + 2].T)
+            up = a_next[n - k : n + k + 2].reshape(-1)
+            dn = b_next[n - k - 1 : n + k + 1].reshape(-1)
+            up[hit], dn[hit] = dn[hit], up[hit]
         a, a_next, b, b_next = a_next, a, b_next, b
     # the spent buffers take the results in (B, 2n+1) order
     a_out, b_out = a_next.reshape(shape[::-1]), b_next.reshape(shape[::-1])

@@ -18,6 +18,7 @@ from qwalk.cli import (
     run,
     write_outputs,
 )
+from qwalk.classical import stable_pdf
 from qwalk.coin import make_theta_coin
 from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution
 
@@ -377,6 +378,51 @@ def test_cli_rejects_overflowing_config_number(tmp_path, capsys):
 def test_non_finite_numbers_in_lists_rejected():
     with pytest.raises(ConfigError, match=r"p_values\[1\]"):
         make_cfg(dict(DECOHERENCE_DOC, p_values=[0.1, float("nan")]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("doc,path", [
+    (dict(DIST_DOC, runs=[{"label": "x", "n": 2, "initial_state": [[NAN, 0], [1, 0]]}]),
+     "runs[0].initial_state[0][0]"),
+    (dict(DECOHERENCE_DOC, initial_state=[[1, 0], [0, "a"]]), "initial_state[1][1]"),
+    (dict(COMPARE_DOC, gaussian={"mu": NAN}), "gaussian.mu"),
+    (dict(COMPARE_DOC, gaussian={"sigma": "1"}), "gaussian.sigma"),
+    (dict(COMPARE_DOC, stable={"alpha": "x", "beta": 0}), "stable.alpha"),
+    (dict(COMPARE_DOC, stable={"alpha": 1.5, "beta": 0, "c": NAN}), "stable.c"),
+    (dict(COMPARE_DOC, stable={"alpha": 2.5, "beta": 0}), "stable"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], scaler={
+        "mode": "custom", "t": [0, 1], "f": [NAN, 1]})), "model.scaler.f[0]"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], scaler={
+        "mode": "custom", "t": [0, "1"], "f": [1, 1]})), "model.scaler.t[1]"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], scaler={
+        "mode": "custom", "t": 3, "f": [1, 1]})), "model.scaler.t"),
+])
+def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
+    with pytest.raises(ConfigError) as err:
+        make_cfg(doc)
+    assert err.value.path == path
+    cfg_path = write_config(tmp_path, doc)
+    argv = [doc["experiment"].replace("_", "-"), "--config", str(cfg_path),
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_returns_evaluates_each_stable_abscissa_once(monkeypatch):
+    from qwalk import cli
+
+    calls = []
+
+    def counting_pdf(x, params):
+        calls.append(float(x))
+        return stable_pdf(x, params)
+
+    monkeypatch.setattr(cli, "stable_pdf", counting_pdf)
+    cmd_compare_returns(make_cfg(COMPARE_DOC))
+    assert len(calls) == len(set(calls)) == 2 * 13 + 1
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--realizations", "0")])

@@ -174,6 +174,36 @@ def test_ensemble_matches_public_step_surface_in_any_order():
     np.testing.assert_allclose(result.mean.probs, manual_mean, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,p,count", [
+    (0, 0.35, 1), (1, 1.0, 129), (1, 0.35, 128), (7, 0.0, 127), (7, 0.35, 129),
+    (7, 1.0, 128), (100, 0.35, 129), (100, 1.0, 1), (100, 0.0, 127),
+])
+def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
+    ic = InitialCoinState(0.6, 0.8j)
+    rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
+    got = decoherence._evolve_broken_chunk(ic, 1.1, p, n, rngs)
+    assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
+    for i, probs in enumerate(got):
+        want = _manual_broken_realization(ic, 1.1, p, n, 11, 5 + i).probs
+        assert np.array_equal(probs, want)
+
+
+@pytest.mark.parametrize("reals", [127, 128, 129])
+def test_broken_ensemble_mean_equals_chunked_replay_bitwise(reals):
+    # the mean sums each group of 128 realizations, then adds the groups in order
+    n, p, seed = 7, 0.35, 4
+    result = run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(p), n, reals, seed)
+    probs = np.array([
+        _manual_broken_realization(SYMMETRIC_IC, THETA, p, n, seed, r).probs
+        for r in range(reals)
+    ])
+    acc = np.zeros(2 * n + 1)
+    for start in range(0, reals, 128):
+        acc += probs[start : start + 128].sum(axis=0)
+    mean = acc / reals
+    assert np.array_equal(result.mean.probs, mean / mean.sum())
+
+
 def test_phase_ensemble_matches_public_step_surface():
     n, reals, seed = 10, 5, 17
     spec = DecoherenceSpec.random_phase(0.6)

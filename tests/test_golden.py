@@ -8,6 +8,11 @@ refactor that changes any byte of any output fails here.
 The heatmap commands take no realizations, so the two heatmap digests are
 the full-scale outputs; ``heatmap_skewness`` equals the seed-0 digest of
 the ``grid_sweep`` benchmark workload in ``perfbench/digests.json``.
+
+``VARIANTS`` are bundled configs with a few keys changed, covering paths
+that no bundled config reaches: a random-phase price path and broken-link
+means rescaled to the classical peak.  Their digests were recorded before
+the broken-link engine and the price-path horizons were batched.
 """
 
 import hashlib
@@ -33,6 +38,40 @@ GOLDEN = {
     "price_path": "565d368cd0f4ac926abb48de405bba523871146cab09f1b1d0cd2886c27afed1",
 }
 
+VARIANTS = {
+    "price_path_random_phase": (
+        "price_path",
+        {"model.decoherence": {"mode": "random_phase", "p_tilde": 0.3},
+         "model.steps_per_horizon": 40, "horizons": 300},
+        "b50e564b8ca224dfa1aa6640f82b168577dfaacfd0f5eaabda5b25f1f4c392dd",
+    ),
+    "decoherence_normalized": (
+        "decoherence_broken_links", {"normalize_to_classical": True},
+        "35a0c70558a3e39c524eb0c6adc5d6351e0ae96956394aff3625e1ebc856c739",
+    ),
+}
+
+
+def _run_csv(doc, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    experiment = doc["experiment"]
+    argv = [experiment.replace("_", "-"), "--config", str(config),
+            "--out", str(tmp_path), "--realizations", "64"]
+    assert run(argv) == 0
+    return (tmp_path / f"{experiment}.csv").read_bytes()
+
+
+def _with_changes(doc, changes):
+    """``doc`` with each dotted path in ``changes`` set to its value."""
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    return doc
+
 
 def test_every_bundled_config_has_a_golden_digest():
     assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(GOLDEN)
@@ -40,10 +79,12 @@ def test_every_bundled_config_has_a_golden_digest():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_csv_digest(name, tmp_path):
-    config = CONFIG_DIR / f"{name}.json"
-    experiment = json.loads(config.read_text(encoding="utf-8"))["experiment"]
-    argv = [experiment.replace("_", "-"), "--config", str(config),
-            "--out", str(tmp_path), "--realizations", "64"]
-    assert run(argv) == 0
-    csv_bytes = (tmp_path / f"{experiment}.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == GOLDEN[name]
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(_run_csv(doc, tmp_path)).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_csv_digest(name, tmp_path):
+    base, changes, digest = VARIANTS[name]
+    doc = json.loads((CONFIG_DIR / f"{base}.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(_run_csv(_with_changes(doc, changes), tmp_path)).hexdigest() == digest

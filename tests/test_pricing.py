@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from qwalk import pricing
 from qwalk.classical import GbmParams, gbm_path
-from qwalk.coin import CoinAngles
-from qwalk.decoherence import DecoherenceSpec
+from qwalk.coin import CoinAngles, sample_random_phase_coin
+from qwalk.decoherence import DecoherenceSpec, LinkMask, realization_rng, step_broken_links
 from qwalk.pricing import (
     DiffusionScaler,
     QwPriceModel,
@@ -14,7 +15,14 @@ from qwalk.pricing import (
     qw_price_path,
     qw_return_distribution,
 )
-from qwalk.walk import SYMMETRIC_IC, UP_IC
+from qwalk.walk import (
+    SYMMETRIC_IC,
+    UP_IC,
+    InitialCoinState,
+    init_state,
+    position_distribution,
+    step_unitary,
+)
 
 HADAMARD_ANGLES = CoinAngles(0.0, math.pi / 4, 0.0)
 
@@ -193,6 +201,53 @@ def test_price_path_horizon_returns_bounded_by_lattice():
     sites = returns / (0.3 * dx)
     assert np.all(np.abs(sites - np.round(sites)) < 1e-9)
     assert np.max(np.abs(sites)) <= 16
+
+
+def _horizon_reference(model, rng):
+    """One horizon's walk through the public single-step surface."""
+    n, spec, theta = model.steps_per_horizon, model.decoherence, model.angles.theta
+    state = init_state(model.ic)
+    if spec.mode == "broken_links":
+        thresholds = rng.random((n, 2 * n + 2))
+        for k in range(n):
+            window = thresholds[k, n - k : n + k + 2] < spec.p
+            state = step_broken_links(state, theta, LinkMask(window, lo=-k - 1))
+    else:
+        for _ in range(n):
+            state = step_unitary(state, sample_random_phase_coin(theta, spec.p, rng))
+    return position_distribution(state)
+
+
+def _price_path_reference(model, total_steps, seed, lattice_scale):
+    """The price path as one walk per horizon, with the stream layout that
+    qw_price_path documents."""
+    prices = [model.s0]
+    for h in range(total_steps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(h,)))
+        dist = _horizon_reference(model, rng)
+        j = int(rng.choice(dist.sites, p=dist.probs / dist.total()))
+        f_val = model.scaler.value(model.horizon)
+        r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
+        prices.append(prices[-1] * math.exp(r))
+    return np.array(prices)
+
+
+@pytest.mark.parametrize("horizons", [1, 128, 129, 300])
+@pytest.mark.parametrize("spec", [
+    DecoherenceSpec.broken_links(0.3), DecoherenceSpec.random_phase(0.4),
+], ids=["broken_links", "random_phase"])
+def test_price_path_equals_per_horizon_loop_bitwise(spec, horizons):
+    model = model_with(
+        mu=0.02, sigma=0.3, ic=InitialCoinState(0.6, 0.8j), angles=CoinAngles(0.0, 1.1, 0.0),
+        decoherence=spec, steps_per_horizon=9, scaler=DiffusionScaler.inverse_sqrt(),
+    )
+    got = qw_price_path(model, horizons, seed=21, lattice_scale=0.07)
+    assert np.array_equal(got, _price_path_reference(model, horizons, 21, 0.07))
+    # a last-bit change in a probability seldom moves a sampled site, so the
+    # batched walks are also compared directly
+    probs = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(horizons)])
+    for h, row in enumerate(probs):
+        assert np.array_equal(row, _horizon_reference(model, realization_rng(21, h)).probs)
 
 
 # ------------------------------------------------------- normalized returns
