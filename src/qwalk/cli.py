@@ -9,8 +9,9 @@ JSON document into the output directory.  Runs are deterministic: a fixed
                     [--format csv|json]
 
 Commands: distribution, heatmap, entropy, decoherence, compare-returns,
-price-path.  Exit codes: 0 success, 2 config error, 3 numerical self-check
-failure.
+price-path.  Exit codes: 0 success, 2 config, input or output error (a
+config whose run would pass ``MAX_WORK_BYTES`` is a config error), 3
+numerical self-check failure.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, decoherence
 from .classical import (
     QuadratureError,
     StableParams,
@@ -52,17 +53,13 @@ from .walk import (
 
 __all__ = ["ExperimentConfig", "SweepGrid", "ConfigError", "SelfCheckError", "main"]
 
-EXPERIMENTS = (
-    "distribution",
-    "heatmap",
-    "entropy",
-    "decoherence",
-    "compare_returns",
-    "price_path",
-)
-
 #: walks per batched propagate call in the grid sweeps
 _CHUNK = 64
+
+#: ceiling on the working memory a config may ask for, as its parser estimates it
+MAX_WORK_BYTES = 2 * 2**30
+#: rough bytes one output row holds in memory (a short list of Python numbers)
+_ROW_BYTES = 256
 
 _IC_PRESETS = {
     "symmetric": SYMMETRIC_IC,
@@ -131,13 +128,16 @@ class SweepGrid:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully specified experiment: id, seed, output format and the
-    experiment-specific parameter document."""
+    experiment-specific parameter document, echoed as given.  ``spec`` holds
+    the typed values :func:`parse_config` read from that document, in the
+    order its command unpacks them."""
 
     experiment: str
     seed: int
     realizations: int
     out_format: str
     params: dict
+    spec: tuple = field(default=(), compare=False, repr=False)
 
     def serialize(self) -> dict:
         return {
@@ -163,7 +163,19 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _number(doc: dict, key: str, path: str, lo=None, hi=None) -> float:
+def _section(doc: dict, key: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """The object at ``key`` with its keys checked; {} when ``key`` is absent."""
+    if key not in doc:
+        return {}
+    if not isinstance(doc[key], dict):
+        raise ConfigError(key, "expected an object")
+    _require_keys(doc[key], key, required, optional)
+    return doc[key]
+
+
+def _number(doc: dict, key: str, path: str, lo=None, hi=None, default=None) -> float:
+    if default is not None and key not in doc:
+        return default
     v = doc.get(key)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(_join(path, key), f"expected a number, got {v!r}")
@@ -178,7 +190,9 @@ def _number(doc: dict, key: str, path: str, lo=None, hi=None) -> float:
     return v
 
 
-def _integer(doc: dict, key: str, path: str, lo=None) -> int:
+def _integer(doc: dict, key: str, path: str, lo=None, default=None) -> int:
+    if default is not None and key not in doc:
+        return default
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(_join(path, key), f"expected an integer, got {v!r}")
@@ -187,13 +201,35 @@ def _integer(doc: dict, key: str, path: str, lo=None) -> int:
     return v
 
 
-def _string(doc: dict, key: str, path: str, choices=None) -> str:
+def _string(doc: dict, key: str, path: str, choices=None, default=None) -> str:
+    if default is not None and key not in doc:
+        return default
     v = doc.get(key)
     if not isinstance(v, str):
         raise ConfigError(_join(path, key), f"expected a string, got {v!r}")
     if choices is not None and v not in choices:
         raise ConfigError(_join(path, key), f"must be one of {sorted(choices)}, got {v!r}")
     return v
+
+
+def _boolean(doc: dict, key: str, default: bool) -> bool:
+    v = doc.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(key, "expected a boolean")
+    return v
+
+
+def _parse_number_list(doc: dict, key: str, path: str, integer=False, lo=None, hi=None,
+                       default=None) -> list:
+    if default is not None and key not in doc:
+        return default
+    values = doc.get(key)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(_join(path, key), "expected a non-empty list")
+    items = [(f"{_join(path, key)}[{i}]", v) for i, v in enumerate(values)]
+    if integer:
+        return [_integer({item: v}, item, "", lo=lo) for item, v in items]
+    return [_number({item: v}, item, "", lo=lo, hi=hi) for item, v in items]
 
 
 def _parse_ic(doc, path: str) -> InitialCoinState:
@@ -207,7 +243,7 @@ def _parse_ic(doc, path: str) -> InitialCoinState:
         and all(isinstance(c, list) and len(c) == 2 for c in doc)
     ):
         a, b = (
-            complex(*_parse_number_list({f"{path}[{i}]": row}, f"{path}[{i}]"))
+            complex(*_parse_number_list({f"{path}[{i}]": row}, f"{path}[{i}]", ""))
             for i, row in enumerate(doc)
         )
         try:
@@ -222,39 +258,24 @@ def _parse_coin(doc, path: str) -> CoinAngles:
         raise ConfigError(path, "expected an object with keys xi, theta, zeta")
     _require_keys(doc, path, required=("theta",), optional=("xi", "zeta"))
     return CoinAngles(
-        xi=_number(doc, "xi", path) if "xi" in doc else 0.0,
+        xi=_number(doc, "xi", path, default=0.0),
         theta=_number(doc, "theta", path),
-        zeta=_number(doc, "zeta", path) if "zeta" in doc else 0.0,
+        zeta=_number(doc, "zeta", path, default=0.0),
     )
 
 
-def _parse_decoherence(doc, path: str) -> DecoherenceSpec:
+def _parse_mode(doc, path: str, cls, modes: dict, parse_arg):
+    """``cls.<mode>(*args)``: each mode names a constructor of ``cls``, and
+    ``modes[mode]`` lists the keys of its arguments, each read by ``parse_arg``."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object with key mode")
-    mode = _string(doc, "mode", path, choices={"none", "broken_links", "random_phase"})
-    if mode == "none":
-        _require_keys(doc, path, required=("mode",))
-        return DecoherenceSpec.none()
-    if mode == "broken_links":
-        _require_keys(doc, path, required=("mode", "p"))
-        return DecoherenceSpec.broken_links(_number(doc, "p", path, lo=0.0, hi=1.0))
-    _require_keys(doc, path, required=("mode", "p_tilde"))
-    return DecoherenceSpec.random_phase(_number(doc, "p_tilde", path, lo=0.0, hi=1.0))
-
-
-def _parse_scaler(doc, path: str) -> DiffusionScaler:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object with key mode")
-    mode = _string(doc, "mode", path, choices={"unit", "inverse_sqrt", "custom"})
-    if mode == "custom":
-        _require_keys(doc, path, required=("mode", "t", "f"))
-        t, f = (_parse_number_list(doc, key, path=path) for key in ("t", "f"))
-        try:
-            return DiffusionScaler.custom(t, f)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    _require_keys(doc, path, required=("mode",))
-    return DiffusionScaler.unit() if mode == "unit" else DiffusionScaler.inverse_sqrt()
+    mode = _string(doc, "mode", path, choices=modes)
+    _require_keys(doc, path, required=("mode", *modes[mode]))
+    args = [parse_arg(doc, key, path) for key in modes[mode]]
+    try:
+        return getattr(cls, mode)(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_range(doc, path: str, count_key: str = "count") -> tuple[float, float, int]:
@@ -269,30 +290,45 @@ def _parse_range(doc, path: str, count_key: str = "count") -> tuple[float, float
     return start, stop, count
 
 
+def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
+    """Bytes a batch of ``n``-step walks holds at once: propagate's four
+    (2n+1, batch) complex buffers, plus the (batch, n, 2n+2) link masks of
+    broken-link walks."""
+    return batch * (64 * (2 * n + 1) + (n * (2 * n + 2) if broken else 0))
+
+
+def _rows_bytes(factors: dict) -> tuple[str, int]:
+    """(path of the largest factor, bytes) of an output table whose row
+    count is the product of ``factors``."""
+    return max(factors, key=factors.get), math.prod(factors.values()) * _ROW_BYTES
+
+
+def _check_size(*costs: tuple[str, int]):
+    """Reject a run whose largest (path, bytes) cost passes the ceiling,
+    naming the field that drives it."""
+    path, nbytes = max(costs, key=lambda cost: cost[1])
+    if nbytes > MAX_WORK_BYTES:
+        raise ConfigError(path, f"the run would need about {nbytes >> 20} MiB of working "
+                                f"memory, over the {MAX_WORK_BYTES >> 20} MiB ceiling")
+
+
 _COMMON_KEYS = ("experiment", "seed", "realizations", "format")
 
-_PARAM_KEYS = {
-    "distribution": (("runs",), ("rescale",)),
-    "heatmap": (("statistic", "n", "grid"), ("initial_state",)),
-    "entropy": (
-        ("theta_grid", "n_values"),
-        ("p_tilde_values", "initial_state", "include_classical", "include_uniform"),
-    ),
-    "decoherence": (
-        ("n", "theta", "p_values"),
-        ("initial_state", "normalize_to_classical"),
-    ),
-    "compare_returns": (
-        ("n", "p", "axis"),
-        ("theta", "initial_state", "stable", "gaussian"),
-    ),
-    "price_path": (("model", "horizons"), ()),
-}
+#: experiment -> (required keys, optional keys, parser of the document)
+_PARSERS = {}
+
+
+def _parser(experiment: str, required: tuple, optional: tuple = ()):
+    def register(parse):
+        _PARSERS[experiment] = (required, optional, parse)
+        return parse
+
+    return register
 
 
 def parse_config(doc: dict, experiment: str | None = None) -> ExperimentConfig:
-    """Validate a raw config document; unknown keys are errors reported with
-    dotted field paths."""
+    """Parse a raw config document into the values its command runs on;
+    unknown keys are errors reported with dotted field paths."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be an object")
     exp = doc.get("experiment", experiment)
@@ -304,173 +340,147 @@ def parse_config(doc: dict, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError(
             "experiment", f"config says {exp!r} but the {experiment!r} command was run"
         )
-    required, optional = _PARAM_KEYS[exp]
-    _require_keys(doc, "", required=(), optional=_COMMON_KEYS + required + optional)
-    for key in required:
-        if key not in doc:
-            raise ConfigError(key, "missing required key")
-    seed = _integer(doc, "seed", "", lo=0) if "seed" in doc else 0
-    realizations = (
-        _integer(doc, "realizations", "", lo=1) if "realizations" in doc else 1000
-    )
-    out_format = (
-        _string(doc, "format", "", choices={"csv", "json"}) if "format" in doc else "csv"
-    )
+    required, optional, parse = _PARSERS[exp]
+    _require_keys(doc, "", required, _COMMON_KEYS + optional)
+    seed = _integer(doc, "seed", "", lo=0, default=0)
+    realizations = _integer(doc, "realizations", "", lo=1, default=1000)
+    out_format = _string(doc, "format", "", choices={"csv", "json"}, default="csv")
     params = {k: doc[k] for k in doc if k not in _COMMON_KEYS}
-    cfg = ExperimentConfig(
-        experiment=exp,
-        seed=seed,
-        realizations=realizations,
-        out_format=out_format,
-        params=params,
+    return ExperimentConfig(exp, seed, realizations, out_format, params, spec=parse(params))
+
+
+@_parser("distribution", required=("runs",), optional=("rescale",))
+def _parse_distribution(doc):
+    runs = doc["runs"]
+    if not isinstance(runs, list) or not runs:
+        raise ConfigError("runs", "expected a non-empty list of run objects")
+    parsed = []
+    for i, run in enumerate(runs):
+        path = f"runs[{i}]"
+        if not isinstance(run, dict):
+            raise ConfigError(path, "expected an object")
+        _require_keys(run, path, required=("label", "n"), optional=("coin", "initial_state"))
+        parsed.append((
+            _string(run, "label", path),
+            _integer(run, "n", path, lo=0),
+            _parse_coin(run.get("coin", {"theta": math.pi / 4}), _join(path, "coin")),
+            _parse_ic(run.get("initial_state", "symmetric"), _join(path, "initial_state")),
+        ))
+    rescale = _string(doc, "rescale", "", choices={"none", "max_position", "peak_position"},
+                      default="none")
+    widest = max(range(len(parsed)), key=lambda i: parsed[i][1])
+    _check_size(_rows_bytes({f"runs[{widest}].n": sum(2 * run[1] + 1 for run in parsed)}))
+    return parsed, rescale
+
+
+@_parser("heatmap", required=("statistic", "n", "grid"), optional=("initial_state",))
+def _parse_heatmap(doc):
+    statistic = _string(doc, "statistic", "", choices={"skewness", "variance_over_n2"})
+    n = _integer(doc, "n", "", lo=1)
+    g = _section(doc, "grid", required=("eta", "theta"))
+    grid = SweepGrid(*_parse_range(g["eta"], "grid.eta"), *_parse_range(g["theta"], "grid.theta"))
+    ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
+    _check_size(("n", _walk_bytes(n, _CHUNK)), _rows_bytes(
+        {"grid.eta.count": grid.eta_count, "grid.theta.count": grid.theta_count}))
+    return statistic, n, grid, ic
+
+
+@_parser("entropy", required=("theta_grid", "n_values"),
+         optional=("p_tilde_values", "initial_state", "include_classical", "include_uniform"))
+def _parse_entropy(doc):
+    theta_grid = _parse_range(doc["theta_grid"], "theta_grid")
+    n_values = _parse_number_list(doc, "n_values", "", integer=True, lo=0)
+    p_tildes = _parse_number_list(doc, "p_tilde_values", "", lo=0.0, hi=1.0, default=[0.0])
+    ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
+    flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
+    if theta_grid[1] >= math.pi / 2 - 1e-12:
+        raise ConfigError("theta_grid.stop", "theta = pi/2 is excluded")
+    widest = max(range(len(n_values)), key=n_values.__getitem__)
+    _check_size(
+        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
+        _rows_bytes({"theta_grid.count": theta_grid[2],
+                     "n_values": len(n_values) * (len(p_tildes) + 2)}),
     )
-    _validate_params(cfg)
-    return cfg
+    return theta_grid, n_values, p_tildes, ic, *flags
 
 
-def _validate_params(cfg: ExperimentConfig):
-    """Eagerly parse every parameter so config errors surface before any
-    computation starts."""
-    p = cfg.params
-    exp = cfg.experiment
-    if exp == "distribution":
-        runs = p.get("runs")
-        if not isinstance(runs, list) or not runs:
-            raise ConfigError("runs", "expected a non-empty list of run objects")
-        for i, run in enumerate(runs):
-            path = f"runs[{i}]"
-            if not isinstance(run, dict):
-                raise ConfigError(path, "expected an object")
-            _require_keys(run, path, required=("label", "n"), optional=("coin", "initial_state"))
-            _string(run, "label", path)
-            _integer(run, "n", path, lo=0)
-            if "coin" in run:
-                _parse_coin(run["coin"], _join(path, "coin"))
-            if "initial_state" in run:
-                _parse_ic(run["initial_state"], _join(path, "initial_state"))
-        if "rescale" in p:
-            _string(p, "rescale", "", choices={"none", "max_position", "peak_position"})
-    elif exp == "heatmap":
-        _string(p, "statistic", "", choices={"skewness", "variance_over_n2"})
-        _integer(p, "n", "", lo=1)
-        _parse_sweep_grid(p.get("grid"))
-        if "initial_state" in p:
-            _parse_ic(p["initial_state"], "initial_state")
-    elif exp == "entropy":
-        start, stop, _ = _parse_range(p.get("theta_grid"), "theta_grid")
-        _parse_number_list(p, "n_values", integer=True, lo=0)
-        if "p_tilde_values" in p:
-            _parse_number_list(p, "p_tilde_values", lo=0.0, hi=1.0)
-        if "initial_state" in p:
-            _parse_ic(p["initial_state"], "initial_state")
-        for flag in ("include_classical", "include_uniform"):
-            if flag in p and not isinstance(p[flag], bool):
-                raise ConfigError(flag, "expected a boolean")
-        if stop >= math.pi / 2 - 1e-12:
-            raise ConfigError("theta_grid.stop", "theta = pi/2 is excluded")
-    elif exp == "decoherence":
-        _integer(p, "n", "", lo=1)
-        _number(p, "theta", "")
-        _parse_number_list(p, "p_values", lo=0.0, hi=1.0)
-        if "initial_state" in p:
-            _parse_ic(p["initial_state"], "initial_state")
-        if "normalize_to_classical" in p and not isinstance(
-            p["normalize_to_classical"], bool
-        ):
-            raise ConfigError("normalize_to_classical", "expected a boolean")
-    elif exp == "compare_returns":
-        _integer(p, "n", "", lo=1)
-        _number(p, "p", "", lo=0.0, hi=1.0)
-        _parse_range(p.get("axis"), "axis", count_key="bins")
-        if "theta" in p:
-            _number(p, "theta", "")
-        if "initial_state" in p:
-            _parse_ic(p["initial_state"], "initial_state")
-        if "stable" in p:
-            s = p["stable"]
-            if not isinstance(s, dict):
-                raise ConfigError("stable", "expected an object")
-            _require_keys(s, "stable", required=("alpha", "beta"), optional=("c", "mu"))
-            _stable_from(p)
-        if "gaussian" in p:
-            g = p["gaussian"]
-            if not isinstance(g, dict):
-                raise ConfigError("gaussian", "expected an object")
-            _require_keys(g, "gaussian", required=(), optional=("mu", "sigma"))
-            _gaussian_from(p)
-    elif exp == "price_path":
-        _integer(p, "horizons", "", lo=1)
-        _parse_price_model(p.get("model"))
+@_parser("decoherence", required=("n", "theta", "p_values"),
+         optional=("initial_state", "normalize_to_classical"))
+def _parse_decoherence(doc):
+    n = _integer(doc, "n", "", lo=1)
+    theta = _number(doc, "theta", "")
+    p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
+    ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
+    to_classical = _boolean(doc, "normalize_to_classical", False)
+    _check_size(("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+                _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
+    return n, theta, p_values, ic, to_classical
 
 
-def _parse_number_list(p: dict, key: str, integer=False, lo=None, hi=None, path=""):
-    values = p.get(key)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(_join(path, key), "expected a non-empty list")
-    for i, v in enumerate(values):
-        item = f"{_join(path, key)}[{i}]"
-        if integer:
-            _integer({item: v}, item, "", lo=lo)
-        else:
-            _number({item: v}, item, "", lo=lo, hi=hi)
-    return values
+@_parser("compare_returns", required=("n", "p", "axis"),
+         optional=("theta", "initial_state", "stable", "gaussian"))
+def _parse_compare_returns(doc):
+    n = _integer(doc, "n", "", lo=1)
+    p = _number(doc, "p", "", lo=0.0, hi=1.0)
+    axis = _parse_range(doc["axis"], "axis", count_key="bins")
+    theta = _number(doc, "theta", "", default=math.pi / 4)
+    ic = _parse_ic(doc.get("initial_state", "up"), "initial_state")
+    s = _section(doc, "stable", required=("alpha", "beta"), optional=("c", "mu"))
+    defaults = {"alpha": 0.5, "beta": 0.5, "c": 1.0 / math.sqrt(2.0), "mu": 0.0}
+    kwargs = {k: _number(s, k, "stable", default=v) for k, v in defaults.items()}
+    try:
+        stable = StableParams(**kwargs)
+    except ValueError as exc:
+        raise ConfigError("stable", str(exc)) from exc
+    g = _section(doc, "gaussian", optional=("mu", "sigma"))
+    gaussian = (_number(g, "mu", "gaussian", default=0.0),
+                _number(g, "sigma", "gaussian", default=1.0))
+    if gaussian[1] <= 0:
+        raise ConfigError("gaussian.sigma", "must be positive")
+    _check_size(("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+                _rows_bytes({"axis.bins": axis[2]}))
+    return n, p, axis, theta, ic, stable, gaussian
 
 
-def _parse_sweep_grid(doc) -> SweepGrid:
-    if not isinstance(doc, dict):
-        raise ConfigError("grid", "expected an object {eta, theta}")
-    _require_keys(doc, "grid", required=("eta", "theta"))
-    es, eo, ec = _parse_range(doc["eta"], "grid.eta")
-    ts, to, tc = _parse_range(doc["theta"], "grid.theta")
-    return SweepGrid(es, eo, ec, ts, to, tc)
-
-
-def _parse_price_model(doc) -> QwPriceModel:
-    if not isinstance(doc, dict):
-        raise ConfigError("model", "expected an object")
-    _require_keys(
+@_parser("price_path", required=("model", "horizons"))
+def _parse_price_path(doc):
+    horizons = _integer(doc, "horizons", "", lo=1)
+    m = _section(
         doc,
         "model",
         required=("sigma", "steps_per_horizon", "dt_per_step", "coin"),
         optional=("mu", "s0", "initial_state", "decoherence", "scaler"),
     )
+    kwargs = dict(
+        mu=_number(m, "mu", "model", default=0.0),
+        sigma=_number(m, "sigma", "model", lo=0.0),
+        ic=_parse_ic(m.get("initial_state", "symmetric"), "model.initial_state"),
+        angles=_parse_coin(m["coin"], "model.coin"),
+        decoherence=_parse_mode(
+            m.get("decoherence", {"mode": "none"}), "model.decoherence", DecoherenceSpec,
+            {"none": (), "broken_links": ("p",), "random_phase": ("p_tilde",)},
+            lambda d, key, path: _number(d, key, path, lo=0.0, hi=1.0),
+        ),
+        steps_per_horizon=_integer(m, "steps_per_horizon", "model", lo=1),
+        dt_per_step=_number(m, "dt_per_step", "model", lo=0.0),
+        scaler=_parse_mode(
+            m.get("scaler", {"mode": "unit"}), "model.scaler", DiffusionScaler,
+            {"unit": (), "inverse_sqrt": (), "custom": ("t", "f")}, _parse_number_list,
+        ),
+        s0=_number(m, "s0", "model", default=1.0),
+    )
     try:
-        return QwPriceModel(
-            mu=_number(doc, "mu", "model") if "mu" in doc else 0.0,
-            sigma=_number(doc, "sigma", "model", lo=0.0),
-            ic=_parse_ic(doc.get("initial_state", "symmetric"), "model.initial_state"),
-            angles=_parse_coin(doc["coin"], "model.coin"),
-            decoherence=_parse_decoherence(
-                doc.get("decoherence", {"mode": "none"}), "model.decoherence"
-            ),
-            steps_per_horizon=_integer(doc, "steps_per_horizon", "model", lo=1),
-            dt_per_step=_number(doc, "dt_per_step", "model", lo=0.0),
-            scaler=_parse_scaler(doc.get("scaler", {"mode": "unit"}), "model.scaler"),
-            s0=_number(doc, "s0", "model") if "s0" in doc else 1.0,
-        )
+        model = QwPriceModel(**kwargs)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("model", str(exc)) from exc
-
-
-def _stable_from(p: dict) -> StableParams:
-    s = p.get("stable", {})
-    defaults = {"alpha": 0.5, "beta": 0.5, "c": 1.0 / math.sqrt(2.0), "mu": 0.0}
-    kwargs = {k: _number(s, k, "stable") if k in s else v for k, v in defaults.items()}
-    try:
-        return StableParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("stable", str(exc)) from exc
-
-
-def _gaussian_from(p: dict) -> tuple[float, float]:
-    g = p.get("gaussian", {})
-    mu = _number(g, "mu", "gaussian") if "mu" in g else 0.0
-    sigma = _number(g, "sigma", "gaussian") if "sigma" in g else 1.0
-    if sigma <= 0:
-        raise ConfigError("gaussian.sigma", "must be positive")
-    return mu, sigma
+    mode = model.decoherence.mode
+    batch = 1 if mode == "none" else decoherence._CHUNK
+    _check_size(
+        ("model.steps_per_horizon",
+         _walk_bytes(model.steps_per_horizon, batch, broken=mode == "broken_links")),
+        _rows_bytes({"horizons": horizons + 1}),
+    )
+    return model, horizons
 
 
 # --------------------------------------------------------------------------
@@ -480,13 +490,10 @@ def _gaussian_from(p: dict) -> tuple[float, float]:
 
 def cmd_distribution(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Position distributions for each configured (coin, ic, n) run."""
-    rescale = cfg.params.get("rescale", "none")
+    runs, rescale = cfg.spec
     header = ["label", "n", "j", "position", "prob"]
     rows = []
-    for run in cfg.params["runs"]:
-        angles = _parse_coin(run.get("coin", {"theta": math.pi / 4}), "coin")
-        ic = _parse_ic(run.get("initial_state", "symmetric"), "initial_state")
-        n = run["n"]
+    for label, n, angles, ic in runs:
         dist = position_distribution(evolve(ic, make_su2_coin(angles), n))
         for j, prob in zip(dist.sites, dist.probs):
             if rescale == "max_position" and n > 0:
@@ -495,7 +502,7 @@ def cmd_distribution(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
                 pos = j / (n / math.sqrt(2.0))
             else:
                 pos = float(j)
-            rows.append([run["label"], n, int(j), pos, float(prob)])
+            rows.append([label, n, int(j), pos, float(prob)])
     return header, rows
 
 
@@ -513,10 +520,7 @@ def _grid_distributions(ic: InitialCoinState, pairs, n: int):
 
 def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n."""
-    grid = _parse_sweep_grid(cfg.params["grid"])
-    statistic = cfg.params["statistic"]
-    n = cfg.params["n"]
-    ic = _parse_ic(cfg.params.get("initial_state", "symmetric"), "initial_state")
+    statistic, n, grid, ic = cfg.spec
     header = ["eta", "theta", statistic]
     rows = []
     cells, pairs = itertools.tee(itertools.product(grid.eta_values(), grid.theta_values()))
@@ -535,13 +539,8 @@ def _uniform_entropy(n: int) -> float:
 def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Entropy-vs-theta curves per n and per p_tilde, with classical-walk
     and uniform reference rows."""
-    start, stop, count = _parse_range(cfg.params["theta_grid"], "theta_grid")
-    thetas = np.linspace(start, stop, count)
-    n_values = cfg.params["n_values"]
-    p_tildes = cfg.params.get("p_tilde_values", [0.0])
-    ic = _parse_ic(cfg.params.get("initial_state", "symmetric"), "initial_state")
-    include_classical = cfg.params.get("include_classical", True)
-    include_uniform = cfg.params.get("include_uniform", True)
+    theta_grid, n_values, p_tildes, ic, include_classical, include_uniform = cfg.spec
+    thetas = np.linspace(*theta_grid)
     header = ["series", "n", "p_tilde", "theta", "entropy"]
     rows = []
     for n in n_values:
@@ -568,11 +567,7 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 def cmd_decoherence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Broken-link ensemble means with per-site standard errors, plus the
     classical random-walk reference."""
-    n = cfg.params["n"]
-    theta = cfg.params["theta"]
-    p_values = cfg.params["p_values"]
-    ic = _parse_ic(cfg.params.get("initial_state", "symmetric"), "initial_state")
-    to_classical = cfg.params.get("normalize_to_classical", False)
+    n, theta, p_values, ic, to_classical = cfg.spec
     classical = classical_rw_distribution(n)
     header = ["series", "p", "j", "prob", "sem"]
     rows = []
@@ -605,13 +600,7 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     keeps heavy-tailed columns comparable and every mass strictly positive
     for log-scale plotting.
     """
-    n = cfg.params["n"]
-    theta = cfg.params.get("theta", math.pi / 4)
-    p = cfg.params["p"]
-    ic = _parse_ic(cfg.params.get("initial_state", "up"), "initial_state")
-    start, stop, bins = _parse_range(cfg.params["axis"], "axis", count_key="bins")
-    g_mu, g_sigma = _gaussian_from(cfg.params)
-    stable = _stable_from(cfg.params)
+    n, p, (start, stop, bins), theta, ic, stable, (g_mu, g_sigma) = cfg.spec
 
     edges = np.linspace(start, stop, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -665,9 +654,11 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 def cmd_price_path(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """One walk-driven price series at horizon boundaries."""
-    model = _parse_price_model(cfg.params["model"])
-    horizons = cfg.params["horizons"]
-    prices = qw_price_path(model, horizons, cfg.seed)
+    model, horizons = cfg.spec
+    try:
+        prices = qw_price_path(model, horizons, cfg.seed)
+    except (ValueError, OverflowError) as exc:  # a point-mass walk; exp(r) past float range
+        raise SelfCheckError(f"price path: {exc}") from exc
     header = ["step", "time", "price"]
     rows = [
         [int(k), float(k * model.horizon), float(s)] for k, s in enumerate(prices)
@@ -684,6 +675,8 @@ _COMMANDS = {
     "price_path": cmd_price_path,
 }
 
+EXPERIMENTS = tuple(_COMMANDS)
+
 
 # --------------------------------------------------------------------------
 # output
@@ -691,13 +684,7 @@ _COMMANDS = {
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 @contextlib.contextmanager
@@ -777,11 +764,9 @@ def run(argv: list[str] | None = None) -> int:
     experiment = args.command.replace("-", "_")
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"config error: no such file: {args.config}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError) as exc:
+        # missing, a directory, not UTF-8, not JSON, or nested too deeply to decode
+        print(f"config error: cannot read {args.config} as UTF-8 JSON: {exc}", file=sys.stderr)
         return 2
     overrides = {"seed": args.seed, "realizations": args.realizations, "format": args.format}
     if isinstance(raw, dict):  # overrides pass the same checks as the config
@@ -795,7 +780,11 @@ def run(argv: list[str] | None = None) -> int:
     except (QuadratureError, SelfCheckError) as exc:
         print(f"numerical self-check failed: {exc}", file=sys.stderr)
         return 3
-    paths = write_outputs(cfg, header, rows, Path(args.out))
+    try:
+        paths = write_outputs(cfg, header, rows, Path(args.out))
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

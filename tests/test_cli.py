@@ -1,9 +1,16 @@
+import copy
+import importlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwalk import cli
 from qwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -381,6 +388,9 @@ def test_non_finite_numbers_in_lists_rejected():
 
 
 NAN = float("nan")
+BIG = 10**12
+ROOT = Path(__file__).resolve().parent.parent
+GRID = HEATMAP_DOC["grid"]
 
 
 @pytest.mark.parametrize("doc,path", [
@@ -398,6 +408,24 @@ NAN = float("nan")
         "mode": "custom", "t": [0, "1"], "f": [1, 1]})), "model.scaler.t[1]"),
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], scaler={
         "mode": "custom", "t": 3, "f": [1, 1]})), "model.scaler.t"),
+    # requests whose largest working array would pass cli.MAX_WORK_BYTES
+    (dict(HEATMAP_DOC, n=BIG), "n"),
+    (dict(HEATMAP_DOC, n=2**64), "n"),
+    (dict(HEATMAP_DOC, grid=dict(GRID, eta=dict(GRID["eta"], count=BIG))), "grid.eta.count"),
+    (dict(HEATMAP_DOC, grid=dict(GRID, theta=dict(GRID["theta"], count=BIG))),
+     "grid.theta.count"),
+    (dict(DIST_DOC, runs=[{"label": "a", "n": 3}, {"label": "b", "n": BIG}]), "runs[1].n"),
+    (dict(ENTROPY_DOC, n_values=[10, BIG]), "n_values[1]"),
+    (dict(ENTROPY_DOC, theta_grid=dict(ENTROPY_DOC["theta_grid"], count=BIG)),
+     "theta_grid.count"),
+    (dict(DECOHERENCE_DOC, n=3000), "n"),  # (128, n, 2n+2) link masks: 2.3 GB
+    (dict(COMPARE_DOC, n=BIG), "n"),
+    (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], bins=BIG)), "axis.bins"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=BIG)),
+     "model.steps_per_horizon"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=3000, decoherence={
+        "mode": "broken_links", "p": 0.1})), "model.steps_per_horizon"),
+    (dict(PRICE_DOC, horizons=BIG), "horizons"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -411,9 +439,67 @@ def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, p
     assert not (tmp_path / "o").exists()
 
 
-def test_compare_returns_evaluates_each_stable_abscissa_once(monkeypatch):
-    from qwalk import cli
+def test_memory_ceiling_names_the_field_that_drives_the_table(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_WORK_BYTES", 10**6)
+    with pytest.raises(ConfigError) as err:
+        make_cfg(dict(DECOHERENCE_DOC, p_values=[0.1] * 200))
+    assert err.value.path == "p_values"
+    with pytest.raises(ConfigError) as err:
+        make_cfg(dict(ENTROPY_DOC, n_values=[10] * 2000))
+    assert err.value.path == "n_values"
 
+
+def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    docs = [json.loads(p.read_text(encoding="utf-8"))
+            for p in (ROOT / "scripts" / "configs").glob("*.json")]
+    docs += [invocation.config for workload in workloads.WORKLOADS for seed in (0, 1, 2)
+             for invocation in workloads.build(workload, seed)]
+    monkeypatch.setattr(cli, "MAX_WORK_BYTES", cli.MAX_WORK_BYTES // 100)
+    for doc in docs:
+        parse_config(doc)
+    assert len(docs) == 25  # 10 bundled configs; 3 seeds x 5 benchmark invocations
+
+
+@pytest.mark.parametrize("model", [
+    dict(PRICE_DOC["model"], coin={"theta": 0.0}, initial_state="up"),  # a point-mass walk
+    dict(PRICE_DOC["model"], mu=1e12),  # exp(r) past the float range
+])
+def test_price_path_numerical_failures_exit_3(tmp_path, capsys, model):
+    cfg_path = write_config(tmp_path, dict(PRICE_DOC, model=model))
+    assert run(["price-path", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical self-check failed: price path: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["config_is_a_directory", "config_not_utf8", "config_too_deep", "out_is_a_file"])
+def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, case):
+    cfg_path = write_config(tmp_path, DIST_DOC)
+    out = tmp_path / "o"
+    if case == "config_is_a_directory":
+        cfg_path = tmp_path / "dir.json"
+        cfg_path.mkdir()
+    elif case == "config_not_utf8":
+        cfg_path.write_bytes(json.dumps(dict(DIST_DOC, rescale="none")).encode("latin-1")
+                             .replace(b"none", b"n\xf6ne"))
+    elif case == "config_too_deep":
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    else:
+        out.write_text("taken", encoding="utf-8")
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
+    assert run(["distribution", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "output error: " if case == "out_is_a_file" else "config error: ")
+    assert tree() == before
+
+
+def test_compare_returns_evaluates_each_stable_abscissa_once(monkeypatch):
     calls = []
 
     def counting_pdf(x, params):
@@ -462,3 +548,60 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_outputs(cfg, ["eta", "theta", "skewness"], rows, fresh)
     assert list(fresh.iterdir()) == []
+
+
+# ----------------------------------------------------------------- fuzzing
+
+def _nodes(node, path=()):
+    """Every (path, node) of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+FUZZ_DOCS = [DIST_DOC, HEATMAP_DOC, ENTROPY_DOC, DECOHERENCE_DOC, COMPARE_DOC, PRICE_DOC]
+# the documents' own keys, optional keys they leave out, and one unknown key
+FUZZ_KEYS = sorted({path[-1] for doc in FUZZ_DOCS for path, _ in _nodes(doc)
+                    if path and isinstance(path[-1], str)}
+                   | {"initial_state", "p_tilde_values", "rescale", "stable", "gaussian",
+                      "decoherence", "scaler", "mode", "p", "p_tilde", "xi", "bogus"})
+FUZZ_LEAVES = st.sampled_from([
+    None, True, False, "", "up", -1, 0, 1, 2, 3, NAN, math.inf, -math.inf, BIG, 2**64,
+    [], [0.5, 2], {}, {"mode": "custom", "theta": 1},
+]).map(copy.deepcopy)
+
+
+def _mutate(data, doc):
+    """Replace one leaf of ``doc``, or add or delete one key or list item."""
+    nodes = dict(_nodes(doc))
+    op = data.draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+    if op == "add":
+        node = nodes[data.draw(st.sampled_from(
+            [path for path, node in nodes.items() if isinstance(node, (dict, list))]))]
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(FUZZ_KEYS))] = data.draw(FUZZ_LEAVES)
+        else:
+            node.append(data.draw(FUZZ_LEAVES))
+    elif op == "delete":
+        *parent, key = data.draw(st.sampled_from([path for path in nodes if path]))
+        del nodes[tuple(parent)][key]
+    else:
+        *parent, key = data.draw(st.sampled_from(
+            [path for path, node in nodes.items() if path and not isinstance(node, (dict, list))]))
+        nodes[tuple(parent)][key] = data.draw(FUZZ_LEAVES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exit_code_is_0_2_or_3_on_mutated_configs(data):
+    base = data.draw(st.sampled_from(FUZZ_DOCS))
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(Path(tmp), doc)
+        argv = [base["experiment"].replace("_", "-"), "--config", str(cfg_path),
+                "--out", str(Path(tmp) / "o"), "--realizations", "8"]
+        assert run(argv) in (0, 2, 3)

@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of every bundled config's CSV.
+"""Golden outputs: the sha256 of every bundled config's CSV and meta.json.
 
 Each config in ``scripts/configs/`` runs in-process through ``cli.run`` with
 ``--realizations 64``, so the ensemble configs finish in seconds.  The
@@ -13,6 +13,11 @@ the ``grid_sweep`` benchmark workload in ``perfbench/digests.json``.
 that no bundled config reaches: a random-phase price path and broken-link
 means rescaled to the classical peak.  Their digests were recorded before
 the broken-link engine and the price-path horizons were batched.
+
+``META`` pins each run's ``meta.json``, the echo of the effective config,
+so a change to how configs are parsed cannot alter what a run records about
+itself.  These digests were recorded before the CLI parsed each config
+once into typed values; they include the library version.
 """
 
 import hashlib
@@ -52,14 +57,32 @@ VARIANTS = {
 }
 
 
-def _run_csv(doc, tmp_path):
+META = {
+    "compare_returns": "747ec25d8ac65b8200c40ec8b39dcf5dd62c81dbee9c467dd2f82eca8d7500ba",
+    "decoherence_broken_links": "08e57fb031163da6e8f744940a4fbbb67cb38b30f3abf283fe6da0947e681e99",
+    "decoherence_normalized": "5f56b4d8d3e7e5269718109c2d045d953ac1a79ff8096a29098f9a706702bfc3",
+    "distribution_coins": "c86765a2c8235f153669037f52253626de89aac255aba137259bc51de499a471",
+    "distribution_initial_states": "60036dd7d8b235a92bf578a16a1b3cc98edb2de62c853fa17e9a04b12e561923",
+    "distribution_step_counts": "ae39b4d7f07084ae6f7d59d8f44602d5f29ded637b0c2b6d77bc619135b3ee33",
+    "entropy_random_phase": "fe44b1cbf2ef6abe8bd37a796980a4695cbd3ef81ccc3eb4bd629ee88c26d856",
+    "entropy_unitary": "6423a313423fa5622b50bea7ca6a5727626e3727d1d20755022e55c63236477a",
+    "heatmap_skewness": "50eba0fcfe314d03a279697080d93962a43f99a7d62638d348b5e1354fbc1dad",
+    "heatmap_variance": "ebb23693f438cddce389046d2b7259ada0af23a7c36374a40a781b30786b607f",
+    "price_path": "12c85f4257440e650d4f24e73777425421a1abebdbdf58f5aab03f7c4c6d6065",
+    "price_path_random_phase": "dd7d0630788c3c7c8d3d0e2571304571ddd8a038a071400e6329db842934d561",
+}
+
+
+def _digests(doc, tmp_path):
+    """sha256 of the CSV and of the meta.json that one run writes."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     experiment = doc["experiment"]
     argv = [experiment.replace("_", "-"), "--config", str(config),
             "--out", str(tmp_path), "--realizations", "64"]
     assert run(argv) == 0
-    return (tmp_path / f"{experiment}.csv").read_bytes()
+    return tuple(hashlib.sha256((tmp_path / f"{experiment}{suffix}").read_bytes()).hexdigest()
+                 for suffix in (".csv", ".meta.json"))
 
 
 def _with_changes(doc, changes):
@@ -75,16 +98,17 @@ def _with_changes(doc, changes):
 
 def test_every_bundled_config_has_a_golden_digest():
     assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(GOLDEN)
+    assert sorted(META) == sorted([*GOLDEN, *VARIANTS])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_csv_digest(name, tmp_path):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    assert hashlib.sha256(_run_csv(doc, tmp_path)).hexdigest() == GOLDEN[name]
+    assert _digests(doc, tmp_path) == (GOLDEN[name], META[name])
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_variant_csv_digest(name, tmp_path):
     base, changes, digest = VARIANTS[name]
     doc = json.loads((CONFIG_DIR / f"{base}.json").read_text(encoding="utf-8"))
-    assert hashlib.sha256(_run_csv(_with_changes(doc, changes), tmp_path)).hexdigest() == digest
+    assert _digests(_with_changes(doc, changes), tmp_path) == (digest, META[name])
