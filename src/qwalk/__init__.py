@@ -2,13 +2,7 @@
 with classical baselines (geometric Brownian motion, classical random walk,
 Gaussian and alpha-stable densities)."""
 
-from .coin import (
-    CoinAngles,
-    CoinOperator,
-    make_su2_coin,
-    make_theta_coin,
-    sample_random_phase_coin,
-)
+from .coin import CoinAngles, CoinOperator, make_su2_coin, make_theta_coin
 from .walk import (
     DOWN_IC,
     SYMMETRIC_IC,
@@ -22,14 +16,7 @@ from .walk import (
     propagate,
     step_unitary,
 )
-from .decoherence import (
-    DecoherenceSpec,
-    EnsembleResult,
-    LinkMask,
-    realization_rng,
-    run_ensemble,
-    step_broken_links,
-)
+from .decoherence import DecoherenceSpec, EnsembleResult, realization_rng, run_ensemble
 from .stats import (
     Histogram,
     SummaryStats,

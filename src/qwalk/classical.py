@@ -161,11 +161,14 @@ def stable_cf(t, params: StableParams):
         w = -(2.0 / math.pi) * np.log(np.abs(tn))
     else:
         w = math.tan(math.pi * params.alpha / 2.0)
-    out[nz] = np.exp(
-        1j * params.mu * tn
-        - np.abs(params.c * tn) ** params.alpha
-        * (1.0 - 1j * params.beta * np.sign(tn) * w)
-    )
+    # exp(i mu t - |c t|^alpha (1 - i beta sign(t) w)) in one buffer: the
+    # quadrature passes ~10^5 nodes, and each complex temporary is 16 B a node
+    z = 1j * params.beta * np.sign(tn)
+    z *= w
+    np.subtract(1.0, z, out=z)
+    z *= np.abs(params.c * tn) ** params.alpha
+    np.subtract(1j * params.mu * tn, z, out=z)
+    out[nz] = np.exp(z, out=z)
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(out.reshape(-1)[0])
     return out
@@ -199,7 +202,9 @@ def stable_pdf(
 
 
 def _cos_integrand(t: np.ndarray, x: float, params: StableParams) -> np.ndarray:
-    return np.real(np.exp(-1j * x * t) * stable_cf(t, params))
+    phi = stable_cf(t, params)
+    phi *= np.exp(-1j * x * t)
+    return phi.real
 
 
 def _panel_integrate(f, edges: np.ndarray) -> float:

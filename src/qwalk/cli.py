@@ -605,16 +605,21 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     edges = np.linspace(start, stop, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    def norm_cdf(x):
-        return 0.5 * (1.0 + math.erf((x - g_mu) / (g_sigma * math.sqrt(2.0))))
+    def unit_mass(name, mass):
+        total = mass.sum()
+        if total <= 0:
+            raise SelfCheckError(f"{name} column has no mass on the configured axis")
+        mass = mass / total
+        if np.any(mass <= 0.0):
+            raise SelfCheckError(
+                f"{name} column has empty bins on the configured axis; widen the "
+                "bins or narrow the axis"
+            )
+        return mass
 
-    gaussian_mass = np.array(
-        [norm_cdf(b) - norm_cdf(a) for a, b in zip(edges[:-1], edges[1:])]
-    )
-
-    # Simpson's rule per bin; neighbouring bins share their edge values
-    f_edges, f_mid = (np.array([stable_pdf(x, stable) for x in xs]) for xs in (edges, centers))
-    stable_mass = (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]) / 6.0 * (edges[1:] - edges[:-1])
+    # the cheap columns are checked before any stable density is computed
+    cdf = [0.5 * (1.0 + math.erf((x - g_mu) / (g_sigma * math.sqrt(2.0)))) for x in edges]
+    gaussian = unit_mass("gaussian", np.diff(cdf))
 
     ensemble = run_ensemble(
         ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations, cfg.seed
@@ -625,29 +630,17 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     for k, prob in zip(idx, ensemble.mean.probs):
         if 0 <= k < bins:
             quantum_mass[k] += prob
+    quantum = unit_mass("quantum", quantum_mass)
 
-    columns = {}
-    for name, mass in (
-        ("gaussian", gaussian_mass),
-        ("stable", stable_mass),
-        ("quantum", quantum_mass),
-    ):
-        total = mass.sum()
-        if total <= 0:
-            raise SelfCheckError(f"{name} column has no mass on the configured axis")
-        mass = mass / total
-        if np.any(mass <= 0.0):
-            raise SelfCheckError(
-                f"{name} column has empty bins on the configured axis; widen the "
-                "bins or narrow the axis"
-            )
-        columns[name] = mass
+    # Simpson's rule per bin; neighbouring bins share their edge values
+    f_edges, f_mid = (np.array([stable_pdf(x, stable) for x in xs]) for xs in (edges, centers))
+    stable_mass = (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]) / 6.0 * (edges[1:] - edges[:-1])
+    stable_col = unit_mass("stable", stable_mass)
 
     header = ["g", "gaussian", "stable", "quantum"]
     rows = [
-        [float(c), float(columns["gaussian"][i]), float(columns["stable"][i]),
-         float(columns["quantum"][i])]
-        for i, c in enumerate(centers)
+        [float(c), float(g), float(f), float(q)]
+        for c, g, f, q in zip(centers, gaussian, stable_col, quantum)
     ]
     return header, rows
 
@@ -773,6 +766,13 @@ def run(argv: list[str] | None = None) -> int:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         cfg = parse_config(raw, experiment=experiment)
+        # --out, or else its nearest existing ancestor, must be a directory; it
+        # is checked before the command runs (os.path.exists never raises)
+        out = os.path.abspath(args.out)
+        nearest = next(path for path in (out, *Path(out).parents) if os.path.exists(path))
+        if not os.path.isdir(nearest):
+            print(f"output error: {nearest} is not a directory", file=sys.stderr)
+            return 2
         header, rows = _COMMANDS[experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -782,7 +782,7 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     try:
         paths = write_outputs(cfg, header, rows, Path(args.out))
-    except OSError as exc:  # e.g. --out names an existing file
+    except OSError as exc:  # e.g. a directory without write permission
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

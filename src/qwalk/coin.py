@@ -24,7 +24,6 @@ __all__ = [
     "CoinOperator",
     "make_su2_coin",
     "make_theta_coin",
-    "sample_random_phase_coin",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -114,20 +113,3 @@ def make_theta_coin(theta: float) -> CoinOperator:
     """
     return make_su2_coin(CoinAngles(0.0, theta, 0.0))
 
-
-def sample_random_phase_coin(
-    theta: float, p_tilde: float, rng: np.random.Generator
-) -> CoinOperator:
-    """Draw one decohering coin: with probability ``p_tilde`` the off-diagonal
-    phase zeta is uniform on [0, 2*pi), otherwise zeta = 0.
-
-    Always consumes exactly two uniform variates from ``rng`` (one accept
-    draw, one phase draw) so that callers that pre-generate streams stay in
-    sync with this function.
-    """
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ValueError(f"p_tilde must be in [0, 1], got {p_tilde}")
-    accept = rng.random()
-    phase = rng.random()
-    zeta = TWO_PI * phase if accept < p_tilde else 0.0
-    return make_su2_coin(CoinAngles(0.0, theta, zeta))

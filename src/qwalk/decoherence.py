@@ -15,7 +15,11 @@ Two mechanisms are implemented:
 * random phase -- at each step, with probability p_tilde the coin's
   off-diagonal phase zeta is redrawn uniformly from [0, 2*pi) (one global
   coin per step, applied at every site), destroying interference between
-  paths while keeping each realization unitary.
+  paths while keeping each realization unitary.  The coin of a step,
+
+      [[c, s e^{i zeta}], [s / e^{i zeta}, -c]],   c = cos(t), s = sin(t),
+
+  is written by ``_phase_coins`` alone, for ensembles and price paths.
 
 Both mechanisms are restricted to the single-angle coin family.  Other
 mechanisms from the literature (per-step coin measurement, complete positive
@@ -26,6 +30,9 @@ Ensembles are reproducible: realization r uses the random stream derived
 from ``SeedSequence(entropy=seed, spawn_key=(r,))``, so results do not
 depend on evaluation order, and the mean is accumulated in increasing-r
 order.
+
+The per-step references of both mechanisms, which the batched engines here
+equal bit for bit, live with the tests in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .coin import TWO_PI, make_theta_coin
 from .walk import (
     InitialCoinState,
     PositionDistribution,
-    WalkState,
     evolve,
     position_distribution,
     propagate,
@@ -48,9 +54,7 @@ from .walk import (
 
 __all__ = [
     "DecoherenceSpec",
-    "LinkMask",
     "EnsembleResult",
-    "step_broken_links",
     "run_ensemble",
     "realization_rng",
 ]
@@ -90,32 +94,6 @@ class DecoherenceSpec:
 
 
 @dataclass(frozen=True)
-class LinkMask:
-    """Broken/intact flags for the links (j, j+1), j = lo .. lo+len-1.
-
-    For a state at step n the mask must cover exactly the links
-    [-n-1, +n], i.e. ``lo = -n-1`` with ``2n+2`` flags.
-    """
-
-    broken: np.ndarray = field(repr=False)
-    lo: int = 0
-
-    def __post_init__(self):
-        m = np.asarray(self.broken, dtype=bool).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "broken", m)
-
-    @classmethod
-    def sample(cls, n: int, p: float, rng: np.random.Generator) -> "LinkMask":
-        """Fresh i.i.d. Bernoulli(p) flags for the links [-n-1, +n]."""
-        return cls(broken=rng.random(2 * n + 2) < p, lo=-n - 1)
-
-    @classmethod
-    def all_intact(cls, n: int) -> "LinkMask":
-        return cls(broken=np.zeros(2 * n + 2, dtype=bool), lo=-n - 1)
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
     """Averaged position distribution over stochastic realizations.
 
@@ -129,39 +107,6 @@ class EnsembleResult:
     sem: np.ndarray = field(repr=False)
     realizations: int = 1
     seed: int = 0
-
-
-def step_broken_links(state: WalkState, theta: float, mask: LinkMask) -> WalkState:
-    """One walk step with the single-angle coin under the given link mask.
-
-    All four local rules (both links intact, right broken, left broken,
-    both broken) are realized by the routing form in the module docstring;
-    total probability flux is preserved for every mask.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    n = state.n
-    if mask.lo != -n - 1 or len(mask.broken) != 2 * n + 2:
-        raise ValueError(
-            f"mask must cover links [{-n - 1}, {n}] for a state at step {n}; "
-            f"got lo={mask.lo}, len={len(mask.broken)}"
-        )
-    ct, st = math.cos(theta), math.sin(theta)
-    u = ct * state.a + st * state.b
-    d = st * state.a - ct * state.b
-    zero = np.zeros(1, dtype=complex)
-    u_pad = np.concatenate([zero, u, zero])
-    d_pad = np.concatenate([zero, d, zero])
-    # new site j at index i = j + n + 1; left link of j has mask index i-1,
-    # right link has index i; virtual links beyond the universe are treated
-    # as broken, which routes only zero padding
-    lb = np.concatenate([[True], mask.broken])
-    rb = np.concatenate([mask.broken, [True]])
-    u_shift_right = np.concatenate([zero, u_pad[:-1]])
-    d_shift_left = np.concatenate([d_pad[1:], zero])
-    a_next = np.where(lb, d_pad, u_shift_right)
-    b_next = np.where(rb, u_pad, d_shift_left)
-    return WalkState(n=n + 1, offset=state.offset + 1, a=a_next, b=b_next)
 
 
 def realization_rng(seed: int, r: int) -> np.random.Generator:
@@ -187,8 +132,8 @@ def run_ensemble(
       applies the window covering the current support, links [-k-1, +k].
     * random_phase -- one draw ``rng.random((n, 2))`` up front; step k uses
       row k as (accept, phase): zeta = 2*pi*phase when accept < p_tilde,
-      else 0.  This matches one call of
-      :func:`qwalk.coin.sample_random_phase_coin` per step.
+      else 0, in the coin of the module docstring.  This matches the
+      per-step random-phase oracle in ``tests/helpers.py``, bit for bit.
 
     The mean is accumulated over realizations in increasing order and
     renormalized to sum to exactly one.
@@ -220,7 +165,8 @@ def run_ensemble(
             rngs = [realization_rng(seed, r) for r in range(start, start + count)]
             probs = _evolve_broken_chunk(ic, theta, spec.p, n, rngs)
         else:
-            probs = _evolve_phase_chunk(ic, theta, spec.p, n, seed, start, count)
+            draws = _phase_draws(seed, n, start, count)
+            probs = _evolve_phase_chunk(ic, theta, spec.p, n, draws)
         acc += probs.sum(axis=0)
         acc_sq += (probs**2).sum(axis=0)
 
@@ -239,14 +185,25 @@ def run_ensemble(
     )
 
 
+def _phase_coins(theta, zetas):
+    """The coins [[c, s e^{i zeta}], [s / e^{i zeta}, -c]] for ``zetas`` of
+    shape (count, n): an (n, count, 2, 2) view of propagate's sites-major
+    (n, 2, 2, count) layout."""
+    phase = np.exp(1j * zetas.T)  # (n, count): the coin phase of step k
+    ct, st = math.cos(theta), math.sin(theta)
+    coins = np.empty((phase.shape[0], 2, 2, phase.shape[1]), dtype=complex)
+    coins[:, 0, 0], coins[:, 0, 1] = ct, st * phase
+    coins[:, 1, 0], coins[:, 1, 1] = st / phase, -ct
+    return coins.transpose(0, 3, 1, 2)
+
+
 def _evolve_broken_chunk(ic, theta, p, n, rngs):
     """Position probabilities, a C-contiguous (len(rngs), 2n+1) array, of one
     broken-links walk per generator, each drawing ``random((n, 2n+2))``."""
     masks = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
     for mask, rng in zip(masks, rngs):
         np.less(rng.random((n, 2 * n + 2)), p, out=mask)
-    ct, st = math.cos(theta), math.sin(theta)
-    coins = np.broadcast_to(np.array([[ct, st], [st, -ct]], dtype=complex), (len(rngs), 2, 2))
+    coins = _phase_coins(theta, np.zeros((len(rngs), 1)))[0]  # the real coin
     a, b = propagate(ic.a0, ic.b0, coins, n, broken=masks)
     return np.abs(a) ** 2 + np.abs(b) ** 2
 
@@ -262,14 +219,9 @@ def _phase_draws(seed, n, start, count):
     return draws
 
 
-def _evolve_phase_chunk(ic, theta, p_tilde, n, seed, start, count):
-    """Position probabilities for realizations of a random-phase ensemble."""
-    draws = _phase_draws(seed, n, start, count)
+def _evolve_phase_chunk(ic, theta, p_tilde, n, draws):
+    """Position probabilities, (count, 2n+1), of one random-phase walk per
+    row of ``draws``, the (count, n, 2) (accept, phase) uniforms of its steps."""
     zetas = np.where(draws[:, :, 0] < p_tilde, TWO_PI * draws[:, :, 1], 0.0)
-    phase = np.exp(1j * zetas.T)  # (n, count): the coin phase of step k
-    ct, st = math.cos(theta), math.sin(theta)
-    coins = np.empty((n, 2, 2, count), dtype=complex)  # propagate's own layout
-    coins[:, 0, 0], coins[:, 0, 1] = ct, st * phase
-    coins[:, 1, 0], coins[:, 1, 1] = st / phase, -ct
-    a, b = propagate(ic.a0, ic.b0, coins.transpose(0, 3, 1, 2), n)
+    a, b = propagate(ic.a0, ic.b0, _phase_coins(theta, zetas), n)
     return np.abs(a) ** 2 + np.abs(b) ** 2

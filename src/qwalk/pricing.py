@@ -25,16 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoherence
-from .coin import TWO_PI, CoinAngles, make_su2_coin
+from .coin import CoinAngles, make_su2_coin
 from .decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from .stats import moments
-from .walk import (
-    InitialCoinState,
-    PositionDistribution,
-    evolve,
-    position_distribution,
-    propagate,
-)
+from .walk import InitialCoinState, PositionDistribution, evolve, position_distribution
 
 __all__ = [
     "DiffusionScaler",
@@ -205,19 +199,12 @@ def qw_return_distribution(
 
 def _horizon_probs(model: QwPriceModel, rngs: list) -> np.ndarray:
     """Position probabilities, (len(rngs), 2n+1), of one stochastic walk per
-    generator, as one batch.  Random-phase walks draw ``random((n, 2))`` and
-    use the coins of :func:`qwalk.coin.sample_random_phase_coin`, bit for bit."""
+    generator on the ensemble engines, so horizon h is ensemble realization h."""
     n, spec, theta = model.steps_per_horizon, model.decoherence, model.angles.theta
     if spec.mode == "broken_links":
         return decoherence._evolve_broken_chunk(model.ic, theta, spec.p, n, rngs)
-    draws = np.array([rng.random((n, 2)) for rng in rngs]).T  # (2, n, count)
-    zetas = np.where(draws[0] < spec.p, TWO_PI * draws[1], 0.0)
-    ct, st = math.cos(theta), math.sin(theta)
-    coins = np.empty((n, 2, 2, len(rngs)), dtype=complex)  # propagate's own layout
-    coins[:, 0, 0], coins[:, 0, 1] = ct, np.exp(1j * zetas) * st
-    coins[:, 1, 0], coins[:, 1, 1] = np.exp(-1j * zetas) * st, -ct
-    a, b = propagate(model.ic.a0, model.ic.b0, coins.transpose(0, 3, 1, 2), n)
-    return np.abs(a) ** 2 + np.abs(b) ** 2
+    draws = np.array([rng.random((n, 2)) for rng in rngs])
+    return decoherence._evolve_phase_chunk(model.ic, theta, spec.p, n, draws)
 
 
 def qw_price_path(

@@ -23,6 +23,9 @@ import numpy as np
 from .coin import CoinOperator
 
 __all__ = [
+    "UP_IC",
+    "DOWN_IC",
+    "SYMMETRIC_IC",
     "InitialCoinState",
     "WalkState",
     "PositionDistribution",
@@ -171,7 +174,7 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     the link (c-n-1, c-n) at step k of walk i.  A broken link (j, j+1) swaps the
     up output bound for j+1 with the down output bound for j, so both stay at
     their own site in the other component; with the single-angle coin this is
-    :func:`qwalk.decoherence.step_broken_links`, bit for bit.
+    the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.
     """
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):

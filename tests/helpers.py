@@ -11,14 +11,23 @@ closed-form density, and the exact ensemble mean of the random-phase walk,
 from the averaged channel on the density matrix.  Both use numpy only and
 neither uses the package's site recurrence; ``test_oracles`` checks them
 against known results.
+
+Last come the per-step oracles that the batched stochastic engines must
+equal bit for bit: ``step_broken_links`` under a ``LinkMask``, and
+``sample_random_phase_coin`` for ``step_unitary``, chained by ``replay_walk``.
+Only the tests call them, since the package runs every walk on ``propagate``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from qwalk.coin import TWO_PI, CoinOperator
+from qwalk.walk import WalkState, init_state, position_distribution, step_unitary
 
 
 def brute_force_amplitudes(a0, b0, coin: np.ndarray, n: int):
@@ -293,3 +302,67 @@ def random_phase_exact_mean(a0, b0, theta: float, p_tilde: float, n: int) -> np.
     for probs in random_phase_channel_steps(a0, b0, theta, p_tilde, n):
         pass
     return probs
+
+
+class LinkMask(NamedTuple):
+    """Broken flags for the links (j, j+1), j = lo .. lo+len-1; at step n
+    they must cover the links [-n-1, n], so ``lo = -n-1`` with 2n+2 flags."""
+
+    broken: np.ndarray
+    lo: int = 0
+
+    @classmethod
+    def sample(cls, n: int, p: float, rng: np.random.Generator) -> "LinkMask":
+        """Fresh i.i.d. Bernoulli(p) flags for the links [-n-1, +n]."""
+        return cls(rng.random(2 * n + 2) < p, -n - 1)
+
+    @classmethod
+    def all_intact(cls, n: int) -> "LinkMask":
+        return cls(np.zeros(2 * n + 2, dtype=bool), -n - 1)
+
+
+def step_broken_links(state: WalkState, theta: float, mask: LinkMask) -> WalkState:
+    """One walk step with the single-angle coin under the given link mask,
+    in the routing form of the ``qwalk.decoherence`` module docstring: a site
+    whose left (right) link is broken takes its up (down) component from its
+    own down (up) output instead of its neighbour's."""
+    n = state.n
+    if mask.lo != -n - 1 or len(mask.broken) != 2 * n + 2:
+        raise ValueError(f"mask must cover links [{-n - 1}, {n}], got lo={mask.lo}")
+    ct, st = math.cos(theta), math.sin(theta)
+    zero = np.zeros(1, dtype=complex)
+    u = np.concatenate([zero, ct * state.a + st * state.b, zero])
+    d = np.concatenate([zero, st * state.a - ct * state.b, zero])
+    # new site j at index i = j + n + 1; its left link has mask index i-1,
+    # its right link index i; virtual links beyond the universe count as
+    # broken, which routes only zero padding
+    a_next = np.where(np.concatenate([[True], mask.broken]), d, np.roll(u, 1))
+    b_next = np.where(np.concatenate([mask.broken, [True]]), u, np.roll(d, -1))
+    return WalkState(n=n + 1, offset=state.offset + 1, a=a_next, b=b_next)
+
+
+def sample_random_phase_coin(theta: float, p_tilde: float, rng) -> CoinOperator:
+    """Draw one step's coin [[c, s e^{i zeta}], [s / e^{i zeta}, -c]] from
+    two uniforms, the engines' (accept, phase) row of a step: zeta is
+    uniform on [0, 2*pi) with probability ``p_tilde``, else 0."""
+    if not 0.0 <= p_tilde <= 1.0:
+        raise ValueError(f"p_tilde must be in [0, 1], got {p_tilde}")
+    accept, phase = rng.random(), rng.random()
+    e = np.exp(1j * (TWO_PI * phase if accept < p_tilde else 0.0))
+    ct, st = math.cos(theta), math.sin(theta)
+    return CoinOperator(np.array([[ct, st * e], [st / e, -ct]]))
+
+
+def replay_walk(ic, theta: float, spec, n: int, rng):
+    """One stochastic walk stepped one step at a time: broken links draw
+    ``random((n, 2n+2))`` up front, random phase two uniforms a step."""
+    state = init_state(ic)
+    if spec.mode == "broken_links":
+        thresholds = rng.random((n, 2 * n + 2))
+        for k in range(n):
+            window = thresholds[k, n - k : n + k + 2] < spec.p
+            state = step_broken_links(state, theta, LinkMask(window, lo=-k - 1))
+    else:
+        for _ in range(n):
+            state = step_unitary(state, sample_random_phase_coin(theta, spec.p, rng))
+    return position_distribution(state)

@@ -334,13 +334,18 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert run(["distribution", "--config", str(bad_json), "--out", str(tmp_path)]) == 2
 
 
-def test_cli_exit_code_on_self_check_failure(tmp_path):
+def test_cli_exit_code_on_self_check_failure(tmp_path, monkeypatch, capsys):
     # axis far outside the walk's reachable range leaves the quantum column
-    # empty, which must be reported as a numerical failure
-    doc = dict(COMPARE_DOC)
+    # empty (the Gaussian, centred there, is not), which must be reported as
+    # a numerical failure before any stable density is computed
+    calls = []
+    monkeypatch.setattr(cli, "stable_pdf", lambda *a: calls.append(a) or stable_pdf(*a))
+    doc = dict(COMPARE_DOC, gaussian={"mu": 55.0, "sigma": 2.0})
     doc["axis"] = {"start": 50.0, "stop": 60.0, "bins": 5}
     cfg_path = write_config(tmp_path, doc)
     assert run(["compare-returns", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical self-check failed: quantum column")
+    assert calls == []
 
 
 def test_csv_uses_full_precision(tmp_path):
@@ -473,11 +478,13 @@ def test_price_path_numerical_failures_exit_3(tmp_path, capsys, model):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(
-    "case", ["config_is_a_directory", "config_not_utf8", "config_too_deep", "out_is_a_file"])
-def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                  "config_too_deep", "out_is_a_file", "out_under_a_file"])
+def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, monkeypatch, case):
     cfg_path = write_config(tmp_path, DIST_DOC)
     out = tmp_path / "o"
+    # every one of these is refused before the command runs
+    monkeypatch.setitem(cli._COMMANDS, "distribution", lambda cfg: pytest.fail("command ran"))
     if case == "config_is_a_directory":
         cfg_path = tmp_path / "dir.json"
         cfg_path.mkdir()
@@ -488,6 +495,8 @@ def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, case):
         cfg_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     else:
         out.write_text("taken", encoding="utf-8")
+        if case == "out_under_a_file":
+            out = out / "sub" / "dir"
 
     def tree():
         return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
@@ -495,7 +504,7 @@ def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, case):
     before = tree()
     assert run(["distribution", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "output error: " if case == "out_is_a_file" else "config error: ")
+        "output error: " if case.startswith("out_") else "config error: ")
     assert tree() == before
 
 

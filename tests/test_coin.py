@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.coin import (
-    CoinAngles,
-    CoinOperator,
-    make_su2_coin,
-    make_theta_coin,
-    sample_random_phase_coin,
-)
+from helpers import sample_random_phase_coin
+from qwalk.coin import CoinAngles, CoinOperator, make_su2_coin, make_theta_coin
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binomial_probs, entropy_nats, random_ic
-from qwalk import decoherence
-from qwalk.cli import cmd_entropy, parse_config
-from qwalk.coin import TWO_PI, make_theta_coin, sample_random_phase_coin
-from qwalk.decoherence import (
-    DecoherenceSpec,
+from helpers import (
     LinkMask,
-    realization_rng,
-    run_ensemble,
+    binomial_probs,
+    entropy_nats,
+    random_ic,
+    replay_walk,
     step_broken_links,
 )
+from qwalk import decoherence
+from qwalk.cli import cmd_entropy, parse_config
+from qwalk.coin import TWO_PI, make_theta_coin
+from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
@@ -139,27 +140,6 @@ def test_ensemble_reproducible_and_mean_normalized():
     assert not np.array_equal(r1.mean.probs, r3.mean.probs)
 
 
-def _manual_broken_realization(ic, theta, p, n, seed, r):
-    """Replay one realization through the public single-step surface using
-    the documented per-realization stream layout."""
-    rng = realization_rng(seed, r)
-    thresholds = rng.random((n, 2 * n + 2))
-    state = init_state(ic)
-    for k in range(n):
-        window = thresholds[k, n - k : n + k + 2] < p
-        state = step_broken_links(state, theta, LinkMask(window, lo=-k - 1))
-    return position_distribution(state)
-
-
-def _manual_phase_realization(ic, theta, p_tilde, n, seed, r):
-    rng = realization_rng(seed, r)
-    state = init_state(ic)
-    for _ in range(n):
-        coin = sample_random_phase_coin(theta, p_tilde, rng)
-        state = step_unitary(state, coin)
-    return position_distribution(state)
-
-
 def test_ensemble_matches_public_step_surface_in_any_order():
     # dual route: the vectorized ensemble engine must agree with realizations
     # replayed one by one through the public ops, evaluated in reverse order
@@ -168,7 +148,7 @@ def test_ensemble_matches_public_step_surface_in_any_order():
     result = run_ensemble(SYMMETRIC_IC, THETA, spec, n, reals, seed)
     acc = np.zeros(2 * n + 1)
     for r in reversed(range(reals)):
-        acc += _manual_broken_realization(SYMMETRIC_IC, THETA, 0.35, n, seed, r).probs
+        acc += replay_walk(SYMMETRIC_IC, THETA, spec, n, realization_rng(seed, r)).probs
     manual_mean = acc / reals
     manual_mean = manual_mean / manual_mean.sum()
     np.testing.assert_allclose(result.mean.probs, manual_mean, atol=1e-12)
@@ -179,22 +159,22 @@ def test_ensemble_matches_public_step_surface_in_any_order():
     (7, 1.0, 128), (100, 0.35, 129), (100, 1.0, 1), (100, 0.0, 127),
 ])
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
-    ic = InitialCoinState(0.6, 0.8j)
+    ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
     rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
     got = decoherence._evolve_broken_chunk(ic, 1.1, p, n, rngs)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     for i, probs in enumerate(got):
-        want = _manual_broken_realization(ic, 1.1, p, n, 11, 5 + i).probs
+        want = replay_walk(ic, 1.1, spec, n, realization_rng(11, 5 + i)).probs
         assert np.array_equal(probs, want)
 
 
 @pytest.mark.parametrize("reals", [127, 128, 129])
 def test_broken_ensemble_mean_equals_chunked_replay_bitwise(reals):
     # the mean sums each group of 128 realizations, then adds the groups in order
-    n, p, seed = 7, 0.35, 4
-    result = run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(p), n, reals, seed)
+    n, spec, seed = 7, DecoherenceSpec.broken_links(0.35), 4
+    result = run_ensemble(SYMMETRIC_IC, THETA, spec, n, reals, seed)
     probs = np.array([
-        _manual_broken_realization(SYMMETRIC_IC, THETA, p, n, seed, r).probs
+        replay_walk(SYMMETRIC_IC, THETA, spec, n, realization_rng(seed, r)).probs
         for r in range(reals)
     ])
     acc = np.zeros(2 * n + 1)
@@ -210,7 +190,7 @@ def test_phase_ensemble_matches_public_step_surface():
     result = run_ensemble(SYMMETRIC_IC, THETA, spec, n, reals, seed)
     acc = np.zeros(2 * n + 1)
     for r in range(reals):
-        acc += _manual_phase_realization(SYMMETRIC_IC, THETA, 0.6, n, seed, r).probs
+        acc += replay_walk(SYMMETRIC_IC, THETA, spec, n, realization_rng(seed, r)).probs
     manual_mean = acc / reals
     manual_mean = manual_mean / manual_mean.sum()
     np.testing.assert_allclose(result.mean.probs, manual_mean, atol=1e-12)
@@ -273,7 +253,7 @@ def test_realization_count_validated():
 
 def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
     """The random-phase engine as a per-step loop over the whole chunk, with
-    the coin [[c, s e^{i zeta}], [s e^{-i zeta}, -c]] written out inline."""
+    the coin [[c, s e^{i zeta}], [s / e^{i zeta}, -c]] written out inline."""
     draws = np.array([realization_rng(seed, start + i).random((n, 2)) for i in range(count)])
     zetas = np.where(draws[:, :, 0] < p_tilde, TWO_PI * draws[:, :, 1], 0.0)
     ct, st = math.cos(theta), math.sin(theta)
@@ -295,7 +275,8 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
 ])
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
     ic = InitialCoinState(0.6, 0.8j)
-    got = decoherence._evolve_phase_chunk(ic, theta, p_tilde, n, 9, 3, count)
+    draws = decoherence._phase_draws(9, n, 3, count)
+    got = decoherence._evolve_phase_chunk(ic, theta, p_tilde, n, draws)
     want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
     assert np.array_equal(got, want)
 

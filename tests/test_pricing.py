@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import pricing
+from helpers import replay_walk
+from qwalk import decoherence, pricing
 from qwalk.classical import GbmParams, gbm_path
-from qwalk.coin import CoinAngles, sample_random_phase_coin
-from qwalk.decoherence import DecoherenceSpec, LinkMask, realization_rng, step_broken_links
+from qwalk.coin import CoinAngles
+from qwalk.decoherence import DecoherenceSpec, realization_rng
 from qwalk.pricing import (
     DiffusionScaler,
     QwPriceModel,
@@ -15,14 +16,7 @@ from qwalk.pricing import (
     qw_price_path,
     qw_return_distribution,
 )
-from qwalk.walk import (
-    SYMMETRIC_IC,
-    UP_IC,
-    InitialCoinState,
-    init_state,
-    position_distribution,
-    step_unitary,
-)
+from qwalk.walk import SYMMETRIC_IC, UP_IC, InitialCoinState
 
 HADAMARD_ANGLES = CoinAngles(0.0, math.pi / 4, 0.0)
 
@@ -203,28 +197,13 @@ def test_price_path_horizon_returns_bounded_by_lattice():
     assert np.max(np.abs(sites)) <= 16
 
 
-def _horizon_reference(model, rng):
-    """One horizon's walk through the public single-step surface."""
-    n, spec, theta = model.steps_per_horizon, model.decoherence, model.angles.theta
-    state = init_state(model.ic)
-    if spec.mode == "broken_links":
-        thresholds = rng.random((n, 2 * n + 2))
-        for k in range(n):
-            window = thresholds[k, n - k : n + k + 2] < spec.p
-            state = step_broken_links(state, theta, LinkMask(window, lo=-k - 1))
-    else:
-        for _ in range(n):
-            state = step_unitary(state, sample_random_phase_coin(theta, spec.p, rng))
-    return position_distribution(state)
-
-
 def _price_path_reference(model, total_steps, seed, lattice_scale):
     """The price path as one walk per horizon, with the stream layout that
     qw_price_path documents."""
-    prices = [model.s0]
+    n, theta, prices = model.steps_per_horizon, model.angles.theta, [model.s0]
     for h in range(total_steps):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(h,)))
-        dist = _horizon_reference(model, rng)
+        dist = replay_walk(model.ic, theta, model.decoherence, n, rng)
         j = int(rng.choice(dist.sites, p=dist.probs / dist.total()))
         f_val = model.scaler.value(model.horizon)
         r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
@@ -247,7 +226,19 @@ def test_price_path_equals_per_horizon_loop_bitwise(spec, horizons):
     # batched walks are also compared directly
     probs = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(horizons)])
     for h, row in enumerate(probs):
-        assert np.array_equal(row, _horizon_reference(model, realization_rng(21, h)).probs)
+        want = replay_walk(model.ic, 1.1, spec, 9, realization_rng(21, h))
+        assert np.array_equal(row, want.probs)
+
+
+@pytest.mark.parametrize("count", [1, 128, 129])
+def test_phase_horizons_equal_ensemble_realizations_bitwise(count):
+    # both callers run the one random-phase engine: horizon h of a price path
+    # is realization h of the ensemble with the same seed, bit for bit
+    model = model_with(ic=InitialCoinState(0.6, 0.8j), angles=CoinAngles(0.0, 1.1, 0.0),
+                       decoherence=DecoherenceSpec.random_phase(0.4), steps_per_horizon=40)
+    got = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(count)])
+    draws = decoherence._phase_draws(21, 40, 0, count)
+    assert np.array_equal(got, decoherence._evolve_phase_chunk(model.ic, 1.1, 0.4, 40, draws))
 
 
 # ------------------------------------------------------- normalized returns
