@@ -51,7 +51,7 @@ from .walk import (
     propagate,
 )
 
-__all__ = ["ExperimentConfig", "SweepGrid", "ConfigError", "SelfCheckError", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "SelfCheckError", "main"]
 
 #: walks per batched propagate call in the grid sweeps
 _CHUNK = 64
@@ -83,46 +83,6 @@ class SelfCheckError(RuntimeError):
 # --------------------------------------------------------------------------
 # config parsing
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Inclusive (eta, theta) grid ranges with point counts.
-
-    Ranges must lie within [0, pi/2] and theta grids must exclude pi/2
-    itself, where the skewness ratio degenerates to 0/0.
-    """
-
-    eta_start: float
-    eta_stop: float
-    eta_count: int
-    theta_start: float
-    theta_stop: float
-    theta_count: int
-
-    def __post_init__(self):
-        half_pi = math.pi / 2
-        for name in ("eta", "theta"):
-            start = getattr(self, f"{name}_start")
-            stop = getattr(self, f"{name}_stop")
-            count = getattr(self, f"{name}_count")
-            if count < 2:
-                raise ConfigError(f"grid.{name}.count", "must be >= 2")
-            if not (0.0 <= start < stop <= half_pi + 1e-12):
-                raise ConfigError(
-                    f"grid.{name}", "range must satisfy 0 <= start < stop <= pi/2"
-                )
-        if self.theta_stop >= half_pi - 1e-12:
-            raise ConfigError(
-                "grid.theta.stop",
-                "theta = pi/2 is excluded (skewness degenerates to 0/0 there)",
-            )
-
-    def eta_values(self) -> np.ndarray:
-        return np.linspace(self.eta_start, self.eta_stop, self.eta_count)
-
-    def theta_values(self) -> np.ndarray:
-        return np.linspace(self.theta_start, self.theta_stop, self.theta_count)
 
 
 @dataclass(frozen=True)
@@ -278,7 +238,10 @@ def _parse_mode(doc, path: str, cls, modes: dict, parse_arg):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_range(doc, path: str, count_key: str = "count") -> tuple[float, float, int]:
+def _parse_range(doc, path: str, count_key: str = "count",
+                 _angle: bool = False) -> tuple[float, float, int]:
+    """(start, stop, count) of an inclusive grid; ``_angle`` ranges must also
+    lie within [0, pi/2]."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object {start, stop, count}")
     _require_keys(doc, path, required=("start", "stop", count_key))
@@ -287,7 +250,16 @@ def _parse_range(doc, path: str, count_key: str = "count") -> tuple[float, float
     count = _integer(doc, count_key, path, lo=2)
     if stop <= start:
         raise ConfigError(_join(path, "stop"), "must exceed start")
+    if _angle and not 0.0 <= start < stop <= math.pi / 2 + 1e-12:
+        raise ConfigError(path, "range must satisfy 0 <= start < stop <= pi/2")
     return start, stop, count
+
+
+def _exclude_half_pi(theta_stop: float, path: str):
+    """Theta grids stop short of pi/2, where the skewness ratio of the
+    heatmap degenerates to 0/0."""
+    if theta_stop >= math.pi / 2 - 1e-12:
+        raise ConfigError(path, "theta = pi/2 is excluded")
 
 
 def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
@@ -314,7 +286,8 @@ def _check_size(*costs: tuple[str, int]):
 
 _COMMON_KEYS = ("experiment", "seed", "realizations", "format")
 
-#: experiment -> (required keys, optional keys, parser of the document)
+#: experiment -> (required keys, optional keys, parser of the document and the
+#: realization count)
 _PARSERS = {}
 
 
@@ -346,11 +319,12 @@ def parse_config(doc: dict, experiment: str | None = None) -> ExperimentConfig:
     realizations = _integer(doc, "realizations", "", lo=1, default=1000)
     out_format = _string(doc, "format", "", choices={"csv", "json"}, default="csv")
     params = {k: doc[k] for k in doc if k not in _COMMON_KEYS}
-    return ExperimentConfig(exp, seed, realizations, out_format, params, spec=parse(params))
+    return ExperimentConfig(exp, seed, realizations, out_format, params,
+                            spec=parse(params, realizations))
 
 
 @_parser("distribution", required=("runs",), optional=("rescale",))
-def _parse_distribution(doc):
+def _parse_distribution(doc, _realizations):
     runs = doc["runs"]
     if not isinstance(runs, list) or not runs:
         raise ConfigError("runs", "expected a non-empty list of run objects")
@@ -374,30 +348,32 @@ def _parse_distribution(doc):
 
 
 @_parser("heatmap", required=("statistic", "n", "grid"), optional=("initial_state",))
-def _parse_heatmap(doc):
+def _parse_heatmap(doc, _realizations):
     statistic = _string(doc, "statistic", "", choices={"skewness", "variance_over_n2"})
     n = _integer(doc, "n", "", lo=1)
     g = _section(doc, "grid", required=("eta", "theta"))
-    grid = SweepGrid(*_parse_range(g["eta"], "grid.eta"), *_parse_range(g["theta"], "grid.theta"))
+    eta, theta = (_parse_range(g[key], f"grid.{key}", _angle=True) for key in ("eta", "theta"))
+    _exclude_half_pi(theta[1], "grid.theta.stop")
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    _check_size(("n", _walk_bytes(n, _CHUNK)), _rows_bytes(
-        {"grid.eta.count": grid.eta_count, "grid.theta.count": grid.theta_count}))
-    return statistic, n, grid, ic
+    _check_size(("n", _walk_bytes(n, _CHUNK)),
+                _rows_bytes({"grid.eta.count": eta[2], "grid.theta.count": theta[2]}))
+    return statistic, n, eta, theta, ic
 
 
 @_parser("entropy", required=("theta_grid", "n_values"),
          optional=("p_tilde_values", "initial_state", "include_classical", "include_uniform"))
-def _parse_entropy(doc):
+def _parse_entropy(doc, realizations):
     theta_grid = _parse_range(doc["theta_grid"], "theta_grid")
     n_values = _parse_number_list(doc, "n_values", "", integer=True, lo=0)
     p_tildes = _parse_number_list(doc, "p_tilde_values", "", lo=0.0, hi=1.0, default=[0.0])
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
-    if theta_grid[1] >= math.pi / 2 - 1e-12:
-        raise ConfigError("theta_grid.stop", "theta = pi/2 is excluded")
+    _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     widest = max(range(len(n_values)), key=n_values.__getitem__)
+    # a random-phase sweep holds the (realizations, n, 2) uniforms of its n
+    draws = 16 * realizations * n_values[widest] if any(p_tildes) else 0
     _check_size(
-        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
+        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK) + draws),
         _rows_bytes({"theta_grid.count": theta_grid[2],
                      "n_values": len(n_values) * (len(p_tildes) + 2)}),
     )
@@ -406,7 +382,7 @@ def _parse_entropy(doc):
 
 @_parser("decoherence", required=("n", "theta", "p_values"),
          optional=("initial_state", "normalize_to_classical"))
-def _parse_decoherence(doc):
+def _parse_decoherence(doc, _realizations):
     n = _integer(doc, "n", "", lo=1)
     theta = _number(doc, "theta", "")
     p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
@@ -419,7 +395,7 @@ def _parse_decoherence(doc):
 
 @_parser("compare_returns", required=("n", "p", "axis"),
          optional=("theta", "initial_state", "stable", "gaussian"))
-def _parse_compare_returns(doc):
+def _parse_compare_returns(doc, _realizations):
     n = _integer(doc, "n", "", lo=1)
     p = _number(doc, "p", "", lo=0.0, hi=1.0)
     axis = _parse_range(doc["axis"], "axis", count_key="bins")
@@ -443,7 +419,7 @@ def _parse_compare_returns(doc):
 
 
 @_parser("price_path", required=("model", "horizons"))
-def _parse_price_path(doc):
+def _parse_price_path(doc, _realizations):
     horizons = _integer(doc, "horizons", "", lo=1)
     m = _section(
         doc,
@@ -520,10 +496,11 @@ def _grid_distributions(ic: InitialCoinState, pairs, n: int):
 
 def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n."""
-    statistic, n, grid, ic = cfg.spec
+    statistic, n, eta_range, theta_range, ic = cfg.spec
     header = ["eta", "theta", statistic]
     rows = []
-    cells, pairs = itertools.tee(itertools.product(grid.eta_values(), grid.theta_values()))
+    grid = itertools.product(np.linspace(*eta_range), np.linspace(*theta_range))
+    cells, pairs = itertools.tee(grid)
     for (eta, theta), dist in zip(cells, _grid_distributions(ic, pairs, n)):
         summary = moments(dist)
         value = summary.skewness if statistic == "skewness" else summary.variance / n**2
@@ -624,13 +601,9 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     ensemble = run_ensemble(
         ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations, cfg.seed
     )
-    g_sites = ensemble.mean.sites / math.sqrt(n)
-    quantum_mass = np.zeros(bins)
-    idx = np.searchsorted(edges, g_sites, side="right") - 1
-    for k, prob in zip(idx, ensemble.mean.probs):
-        if 0 <= k < bins:
-            quantum_mass[k] += prob
-    quantum = unit_mass("quantum", quantum_mass)
+    idx = np.searchsorted(edges, ensemble.mean.sites / math.sqrt(n), side="right") - 1
+    inside = (idx >= 0) & (idx < bins)
+    quantum = unit_mass("quantum", np.bincount(idx[inside], ensemble.mean.probs[inside], bins))
 
     # Simpson's rule per bin; neighbouring bins share their edge values
     f_edges, f_mid = (np.array([stable_pdf(x, stable) for x in xs]) for xs in (edges, centers))

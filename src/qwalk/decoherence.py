@@ -105,8 +105,6 @@ class EnsembleResult:
 
     mean: PositionDistribution
     sem: np.ndarray = field(repr=False)
-    realizations: int = 1
-    seed: int = 0
 
 
 def realization_rng(seed: int, r: int) -> np.random.Generator:
@@ -149,24 +147,20 @@ def run_ensemble(
     if spec.mode == "none" or spec.p == 0.0 or n == 0:
         dist = position_distribution(evolve(ic, make_theta_coin(theta), n))
         mean = dist.probs / dist.total()
-        return EnsembleResult(
-            mean=PositionDistribution(n=n, probs=mean),
-            sem=np.zeros(2 * n + 1),
-            realizations=realizations,
-            seed=seed,
-        )
+        return EnsembleResult(PositionDistribution(n=n, probs=mean), np.zeros(2 * n + 1))
 
     size = 2 * n + 1
     acc = np.zeros(size)
     acc_sq = np.zeros(size)
+    if spec.mode == "random_phase":
+        draws = _phase_draws(seed, n, realizations)
     for start in range(0, realizations, _CHUNK):
-        count = min(_CHUNK, realizations - start)
+        stop = min(start + _CHUNK, realizations)
         if spec.mode == "broken_links":
-            rngs = [realization_rng(seed, r) for r in range(start, start + count)]
+            rngs = [realization_rng(seed, r) for r in range(start, stop)]
             probs = _evolve_broken_chunk(ic, theta, spec.p, n, rngs)
         else:
-            draws = _phase_draws(seed, n, start, count)
-            probs = _evolve_phase_chunk(ic, theta, spec.p, n, draws)
+            probs = _evolve_phase_chunk(ic, theta, spec.p, n, draws[start:stop])
         acc += probs.sum(axis=0)
         acc_sq += (probs**2).sum(axis=0)
 
@@ -177,12 +171,7 @@ def run_ensemble(
     else:
         sem = np.zeros(size)
     mean = mean / mean.sum()
-    return EnsembleResult(
-        mean=PositionDistribution(n=n, probs=mean),
-        sem=sem,
-        realizations=realizations,
-        seed=seed,
-    )
+    return EnsembleResult(PositionDistribution(n=n, probs=mean), sem)
 
 
 def _phase_coins(theta, zetas):
@@ -208,13 +197,14 @@ def _evolve_broken_chunk(ic, theta, p, n, rngs):
     return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
-@functools.lru_cache(maxsize=8)
-def _phase_draws(seed, n, start, count):
-    """Read-only (accept, phase) uniforms of realizations start..start+count-1;
-    they do not depend on theta or p_tilde, so one copy serves a whole sweep."""
-    draws = np.empty((count, n, 2))
-    for i in range(count):
-        draws[i] = realization_rng(seed, start + i).random((n, 2))
+@functools.lru_cache(maxsize=1)
+def _phase_draws(seed, n, realizations):
+    """Read-only (accept, phase) uniforms, (realizations, n, 2), of every
+    realization; they do not depend on theta or p_tilde, so one copy serves
+    a whole sweep."""
+    draws = np.empty((realizations, n, 2))
+    for r in range(realizations):
+        draws[r] = realization_rng(seed, r).random((n, 2))
     draws.setflags(write=False)
     return draws
 

@@ -154,6 +154,15 @@ def _model_distribution(
     return result.mean
 
 
+def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
+    """dx = 1 / (f(horizon) * walk_std), at which the site returns of
+    ``dist`` have standard deviation sigma; a zero-variance walk is rejected."""
+    variance = moments(dist).variance
+    if variance <= 0.0:
+        raise ValueError("walk distribution has zero variance; returns degenerate")
+    return 1.0 / (model.scaler.value(model.horizon) * math.sqrt(variance))
+
+
 def prenormalized_return_distribution(
     model: QwPriceModel,
     seed: int,
@@ -168,14 +177,10 @@ def prenormalized_return_distribution(
     mapping fixed, exposing the scaler's n-dependence (return std then
     scales like sigma * f(horizon) * dx * walk_std(n))."""
     dist = _model_distribution(model, seed, realizations)
-    summary = moments(dist)
-    if summary.variance <= 0.0:
-        raise ValueError("walk distribution has zero variance; returns degenerate")
-    walk_std = math.sqrt(summary.variance)
-    f_val = model.scaler.value(model.horizon)
-    dx = lattice_scale if lattice_scale is not None else 1.0 / (f_val * walk_std)
+    calibrated = _lattice_scale(model, dist)  # rejects a zero-variance walk either way
+    dx = calibrated if lattice_scale is None else lattice_scale
     j = dist.sites.astype(float)
-    values = model.mu * model.horizon + model.sigma * f_val * dx * j
+    values = model.mu * model.horizon + model.sigma * model.scaler.value(model.horizon) * dx * j
     return values, dist.probs.copy()
 
 
@@ -223,21 +228,18 @@ def qw_price_path(
     """
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    f_val = model.scaler.value(model.horizon)
+    # a unitary walk is the same every horizon: walked once, it also calibrates
+    unitary = _model_distribution(model, seed, 1) if model.decoherence.mode == "none" else None
     if lattice_scale is None:
         # calibration stream is offset from the horizon streams so the two
         # never alias for any horizon index
-        dist = _model_distribution(
-            model, seed=seed + _CALIBRATION_KEY, realizations=_CALIBRATION_REALIZATIONS
-        )
-        summary = moments(dist)
-        if summary.variance <= 0.0:
-            raise ValueError("walk distribution has zero variance; cannot calibrate")
-        lattice_scale = 1.0 / (f_val * math.sqrt(summary.variance))
+        calibration = unitary if unitary is not None else _model_distribution(
+            model, seed=seed + _CALIBRATION_KEY, realizations=_CALIBRATION_REALIZATIONS)
+        lattice_scale = _lattice_scale(model, calibration)
 
+    f_val = model.scaler.value(model.horizon)
     n = model.steps_per_horizon
     sites = np.arange(-n, n + 1)
-    unitary = _model_distribution(model, seed, 1) if model.decoherence.mode == "none" else None
     prices = np.empty(total_steps + 1)
     prices[0] = model.s0
     for start in range(0, total_steps, decoherence._CHUNK):

@@ -68,21 +68,14 @@ DOWN_IC = InitialCoinState(0.0, 1.0)
 class WalkState:
     """Walker amplitudes after ``n`` steps.
 
-    ``a`` and ``b`` span the sites [-n, +n]; ``offset`` is the array index of
-    site 0 (always n for states produced by this module).  Site j lives at
-    index j + offset.
+    ``a`` and ``b`` span the sites [-n, +n]; site j lives at index j + n.
     """
 
     n: int
-    offset: int
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.offset != self.n:
-            raise ValueError(
-                f"site 0 must sit at index n = {self.n}, got offset {self.offset}"
-            )
         for name in ("a", "b"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (2 * self.n + 1,):
@@ -93,7 +86,7 @@ class WalkState:
             object.__setattr__(self, name, arr)
 
     def site_index(self, j: int) -> int:
-        return j + self.offset
+        return j + self.n
 
     def amplitude(self, j: int) -> tuple[complex, complex]:
         i = self.site_index(j)
@@ -142,12 +135,7 @@ class PositionDistribution:
 
 def init_state(ic: InitialCoinState) -> WalkState:
     """Localize the walker at site 0 with coin state ``ic`` (n = 0)."""
-    return WalkState(
-        n=0,
-        offset=0,
-        a=np.array([ic.a0], dtype=complex),
-        b=np.array([ic.b0], dtype=complex),
-    )
+    return WalkState(n=0, a=np.array([ic.a0], dtype=complex), b=np.array([ic.b0], dtype=complex))
 
 
 def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
@@ -159,7 +147,7 @@ def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
     b_next = np.zeros(size, dtype=complex)
     a_next[2:] = c[0, 0] * state.a + c[0, 1] * state.b
     b_next[:-2] = c[1, 0] * state.a + c[1, 1] * state.b
-    return WalkState(n=state.n + 1, offset=state.offset + 1, a=a_next, b=b_next)
+    return WalkState(n=state.n + 1, a=a_next, b=b_next)
 
 
 def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +206,7 @@ def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     a, b = propagate(ic.a0, ic.b0, coin.matrix[None], n)
-    return WalkState(n=n, offset=n, a=a[0], b=b[0])
+    return WalkState(n=n, a=a[0], b=b[0])
 
 
 def position_distribution(state: WalkState) -> PositionDistribution:

@@ -338,7 +338,7 @@ def step_broken_links(state: WalkState, theta: float, mask: LinkMask) -> WalkSta
     # broken, which routes only zero padding
     a_next = np.where(np.concatenate([[True], mask.broken]), d, np.roll(u, 1))
     b_next = np.where(np.concatenate([mask.broken, [True]]), u, np.roll(d, -1))
-    return WalkState(n=n + 1, offset=state.offset + 1, a=a_next, b=b_next)
+    return WalkState(n=n + 1, a=a_next, b=b_next)
 
 
 def sample_random_phase_coin(theta: float, p_tilde: float, rng) -> CoinOperator:

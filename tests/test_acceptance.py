@@ -11,6 +11,7 @@ a05b still fails: no finite-size bound yet covers the gap between the
 n = 100 skewness minimum and its weak-limit value (see its docstring).
 """
 
+import itertools
 import math
 import time
 
@@ -30,6 +31,7 @@ from helpers import (
     weak_limit_entropy,
     within_k_sem,
 )
+from qwalk import cli
 from qwalk.classical import (
     QuadratureSpec,
     StableParams,
@@ -84,12 +86,11 @@ def heatmap_grid():
     """Skewness and variance/n^2 on the 64x64 (eta, theta) grid, n=100."""
     skew = np.empty((64, 64))
     var = np.empty((64, 64))
-    for ie, eta in enumerate(GRID):
-        for it, theta in enumerate(GRID):
-            coin = make_su2_coin(CoinAngles(eta, theta, 0.0))
-            s = moments(position_distribution(evolve(SYMMETRIC_IC, coin, 100)))
-            skew[ie, it] = s.skewness
-            var[ie, it] = s.variance / 100**2
+    pairs = itertools.product(GRID, GRID)  # the walks the heatmap command runs
+    for k, dist in enumerate(cli._grid_distributions(SYMMETRIC_IC, pairs, 100)):
+        s = moments(dist)
+        skew.flat[k] = s.skewness
+        var.flat[k] = s.variance / 100**2
     return skew, var
 
 

@@ -31,3 +31,13 @@ def test_public_names_are_pinned_and_listed_by_the_layers():
             assert getattr(qwalk, name) is getattr(module, name), f"qwalk.{layer}.{name}"
         listed += module.__all__
     assert sorted(listed) == PUBLIC
+
+
+def test_cli_surface_that_perfbench_wraps():
+    # perfbench/tracer.py wraps these; perfbench/probes.py builds the config
+    from qwalk import cli
+
+    assert sorted(cli.__all__) == ["ConfigError", "ExperimentConfig", "SelfCheckError", "main"]
+    for name in ("run", "parse_config", "write_outputs", "_COMMANDS"):
+        assert hasattr(cli, name), name
+    assert cli.ExperimentConfig("heatmap", 0, 1, "csv", {}).spec == ()

@@ -14,7 +14,6 @@ from qwalk import cli
 from qwalk.cli import (
     ConfigError,
     ExperimentConfig,
-    SweepGrid,
     cmd_compare_returns,
     cmd_decoherence,
     cmd_distribution,
@@ -134,21 +133,35 @@ def test_experiment_mismatch_rejected():
         make_cfg(DIST_DOC, experiment="heatmap")
 
 
+def heatmap_doc(eta_start=0.0, eta_count=4, theta_stop=1.2):
+    return dict(HEATMAP_DOC, grid={
+        "eta": {"start": eta_start, "stop": 1.0, "count": eta_count},
+        "theta": {"start": 0.0, "stop": theta_stop, "count": 4},
+    })
+
+
 def test_theta_half_pi_grid_rejected():
-    assert SweepGrid(0.0, 1.0, 4, 0.0, 1.2, 4).theta_values()[-1] == 1.2
-    with pytest.raises(ConfigError, match="pi/2"):
-        SweepGrid(0.0, 1.0, 4, 0.0, math.pi / 2, 4)
+    _, rows = cmd_heatmap(make_cfg(heatmap_doc()))
+    assert rows[-1][:2] == [1.0, 1.2]
+    with pytest.raises(ConfigError, match="pi/2") as err:
+        make_cfg(heatmap_doc(theta_stop=math.pi / 2))
+    assert err.value.path == "grid.theta.stop"
     doc = dict(ENTROPY_DOC)
     doc["theta_grid"] = {"start": 0.0, "stop": math.pi / 2, "count": 8}
-    with pytest.raises(ConfigError, match="pi/2"):
+    with pytest.raises(ConfigError, match="pi/2") as err:
         make_cfg(doc)
+    assert err.value.path == "theta_grid.stop"
 
 
 def test_grid_counts_and_ranges_validated():
-    with pytest.raises(ConfigError, match="count"):
-        SweepGrid(0.0, 1.0, 1, 0.0, 1.0, 4)
-    with pytest.raises(ConfigError):
-        SweepGrid(-0.2, 1.0, 4, 0.0, 1.0, 4)
+    for doc, path, message in [
+        (heatmap_doc(eta_count=1), "grid.eta.count", "must be >= 2"),
+        (heatmap_doc(eta_start=-0.2), "grid.eta", "0 <= start < stop <= pi/2"),
+        (heatmap_doc(theta_stop=1.6), "grid.theta", "0 <= start < stop <= pi/2"),
+    ]:
+        with pytest.raises(ConfigError, match=message) as err:
+            make_cfg(doc)
+        assert err.value.path == path
 
 
 def test_invalid_initial_state_and_probability():

@@ -275,7 +275,7 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
 ])
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
     ic = InitialCoinState(0.6, 0.8j)
-    draws = decoherence._phase_draws(9, n, 3, count)
+    draws = decoherence._phase_draws(9, n, 3 + count)[3:]
     got = decoherence._evolve_phase_chunk(ic, theta, p_tilde, n, draws)
     want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
     assert np.array_equal(got, want)
@@ -289,13 +289,16 @@ def test_phase_draws_are_drawn_once_per_sweep(monkeypatch):
         return realization_rng(seed, r)
 
     monkeypatch.setattr(decoherence, "realization_rng", counting_rng)
-    decoherence._phase_draws.cache_clear()
-    cfg = parse_config({
-        "experiment": "entropy", "seed": 123, "realizations": 150, "n_values": [6],
-        "theta_grid": {"start": 0.1, "stop": 1.2, "count": 5},
-        "p_tilde_values": [0.0, 0.2, 1.0],
-    })
-    cmd_entropy(cfg)
-    assert sorted(calls) == list(range(150))
-    draws = decoherence._phase_draws(123, 6, 0, 128)
-    assert not draws.flags.writeable
+    # 1100 realizations span nine chunks of decoherence._CHUNK walks
+    for realizations in (150, 1100):
+        calls.clear()
+        decoherence._phase_draws.cache_clear()
+        cfg = parse_config({
+            "experiment": "entropy", "seed": 123, "realizations": realizations, "n_values": [6],
+            "theta_grid": {"start": 0.1, "stop": 1.2, "count": 5},
+            "p_tilde_values": [0.0, 0.2, 1.0],
+        })
+        cmd_entropy(cfg)
+        assert sorted(calls) == list(range(realizations))
+        draws = decoherence._phase_draws(123, 6, realizations)
+        assert not draws.flags.writeable

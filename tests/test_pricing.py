@@ -16,7 +16,7 @@ from qwalk.pricing import (
     qw_price_path,
     qw_return_distribution,
 )
-from qwalk.walk import SYMMETRIC_IC, UP_IC, InitialCoinState
+from qwalk.walk import SYMMETRIC_IC, UP_IC, InitialCoinState, evolve
 
 HADAMARD_ANGLES = CoinAngles(0.0, math.pi / 4, 0.0)
 
@@ -197,6 +197,20 @@ def test_price_path_horizon_returns_bounded_by_lattice():
     assert np.max(np.abs(sites)) <= 16
 
 
+def test_unitary_price_path_walks_once(monkeypatch):
+    # the one unitary distribution both calibrates dx and is sampled
+    calls = []
+
+    def counting_evolve(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(pricing, "evolve", counting_evolve)
+    prices = qw_price_path(model_with(steps_per_horizon=16), total_steps=5, seed=3)
+    assert len(calls) == 1
+    assert len(prices) == 6
+
+
 def _price_path_reference(model, total_steps, seed, lattice_scale):
     """The price path as one walk per horizon, with the stream layout that
     qw_price_path documents."""
@@ -237,7 +251,7 @@ def test_phase_horizons_equal_ensemble_realizations_bitwise(count):
     model = model_with(ic=InitialCoinState(0.6, 0.8j), angles=CoinAngles(0.0, 1.1, 0.0),
                        decoherence=DecoherenceSpec.random_phase(0.4), steps_per_horizon=40)
     got = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(count)])
-    draws = decoherence._phase_draws(21, 40, 0, count)
+    draws = decoherence._phase_draws(21, 40, count)
     assert np.array_equal(got, decoherence._evolve_phase_chunk(model.ic, 1.1, 0.4, 40, draws))
 
 
