@@ -11,7 +11,9 @@ JSON document into the output directory.  Runs are deterministic: a fixed
 Commands: distribution, heatmap, entropy, decoherence, compare-returns,
 price-path.  Exit codes: 0 success, 2 config, input or output error (a
 config whose run would pass ``MAX_WORK_BYTES`` is a config error), 3
-numerical self-check failure.
+numerical self-check failure.  A config that implies more than
+``WARN_SITE_UPDATES`` site updates still runs, after one warning line on
+stderr.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, decoherence
+from . import __version__, decoherence, pricing
 from .classical import (
     QuadratureError,
     StableParams,
     classical_rw_distribution,
     stable_pdf,
 )
-from .coin import CoinAngles, make_su2_coin
+from .coin import CoinAngles, _su2_matrices, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
 from .pricing import DiffusionScaler, QwPriceModel, qw_price_path
 from .stats import moments, normalize_to_reference
@@ -60,6 +62,9 @@ _CHUNK = 64
 MAX_WORK_BYTES = 2 * 2**30
 #: rough bytes one output row holds in memory (a short list of Python numbers)
 _ROW_BYTES = 256
+#: site updates (n^2 per walk or realization) past which a run is announced
+#: on stderr: of the order of an hour of walking on one core
+WARN_SITE_UPDATES = 1e11
 
 _IC_PRESETS = {
     "symmetric": SYMMETRIC_IC,
@@ -263,9 +268,12 @@ def _exclude_half_pi(theta_stop: float, path: str):
 
 
 def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
-    """Bytes a batch of ``n``-step walks holds at once: propagate's four
-    (2n+1, batch) complex buffers, plus the (batch, n, 2n+2) link masks of
-    broken-link walks."""
+    """An upper bound on the bytes a batch of ``n``-step walks holds at once:
+    four (2n+1, batch) complex arrays, plus the (batch, n, 2n+2) link masks
+    of broken-link walks.  ``propagate`` steps four such buffers for
+    broken-link walks and four (n+1, batch) ones on the occupied sublattice
+    otherwise; it frees two of them before it allocates its two (batch, 2n+1)
+    results."""
     return batch * (64 * (2 * n + 1) + (n * (2 * n + 2) if broken else 0))
 
 
@@ -275,13 +283,17 @@ def _rows_bytes(factors: dict) -> tuple[str, int]:
     return max(factors, key=factors.get), math.prod(factors.values()) * _ROW_BYTES
 
 
-def _check_size(*costs: tuple[str, int]):
+def _check_size(site_updates: int, *costs: tuple[str, int]):
     """Reject a run whose largest (path, bytes) cost passes the ceiling,
-    naming the field that drives it."""
+    naming the field that drives it; announce on stderr a run of more than
+    ``WARN_SITE_UPDATES`` site updates."""
     path, nbytes = max(costs, key=lambda cost: cost[1])
     if nbytes > MAX_WORK_BYTES:
         raise ConfigError(path, f"the run would need about {nbytes >> 20} MiB of working "
                                 f"memory, over the {MAX_WORK_BYTES >> 20} MiB ceiling")
+    if site_updates > WARN_SITE_UPDATES:
+        print(f"warning: the run implies about {site_updates:.2e} site updates "
+              "(n^2 per walk or realization)", file=sys.stderr)
 
 
 _COMMON_KEYS = ("experiment", "seed", "realizations", "format")
@@ -343,7 +355,8 @@ def _parse_distribution(doc, _realizations):
     rescale = _string(doc, "rescale", "", choices={"none", "max_position", "peak_position"},
                       default="none")
     widest = max(range(len(parsed)), key=lambda i: parsed[i][1])
-    _check_size(_rows_bytes({f"runs[{widest}].n": sum(2 * run[1] + 1 for run in parsed)}))
+    _check_size(sum(run[1] ** 2 for run in parsed),
+                _rows_bytes({f"runs[{widest}].n": sum(2 * run[1] + 1 for run in parsed)}))
     return parsed, rescale
 
 
@@ -355,7 +368,7 @@ def _parse_heatmap(doc, _realizations):
     eta, theta = (_parse_range(g[key], f"grid.{key}", _angle=True) for key in ("eta", "theta"))
     _exclude_half_pi(theta[1], "grid.theta.stop")
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    _check_size(("n", _walk_bytes(n, _CHUNK)),
+    _check_size(eta[2] * theta[2] * n**2, ("n", _walk_bytes(n, _CHUNK)),
                 _rows_bytes({"grid.eta.count": eta[2], "grid.theta.count": theta[2]}))
     return statistic, n, eta, theta, ic
 
@@ -372,7 +385,9 @@ def _parse_entropy(doc, realizations):
     widest = max(range(len(n_values)), key=n_values.__getitem__)
     # a random-phase sweep holds the (realizations, n, 2) uniforms of its n
     draws = 16 * realizations * n_values[widest] if any(p_tildes) else 0
+    walks = theta_grid[2] * sum(realizations if p else 1 for p in p_tildes)
     _check_size(
+        walks * sum(n**2 for n in n_values),
         (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK) + draws),
         _rows_bytes({"theta_grid.count": theta_grid[2],
                      "n_values": len(n_values) * (len(p_tildes) + 2)}),
@@ -382,20 +397,21 @@ def _parse_entropy(doc, realizations):
 
 @_parser("decoherence", required=("n", "theta", "p_values"),
          optional=("initial_state", "normalize_to_classical"))
-def _parse_decoherence(doc, _realizations):
+def _parse_decoherence(doc, realizations):
     n = _integer(doc, "n", "", lo=1)
     theta = _number(doc, "theta", "")
     p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     to_classical = _boolean(doc, "normalize_to_classical", False)
-    _check_size(("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+    _check_size(sum(realizations if p else 1 for p in p_values) * n**2,
+                ("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
                 _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
     return n, theta, p_values, ic, to_classical
 
 
 @_parser("compare_returns", required=("n", "p", "axis"),
          optional=("theta", "initial_state", "stable", "gaussian"))
-def _parse_compare_returns(doc, _realizations):
+def _parse_compare_returns(doc, realizations):
     n = _integer(doc, "n", "", lo=1)
     p = _number(doc, "p", "", lo=0.0, hi=1.0)
     axis = _parse_range(doc["axis"], "axis", count_key="bins")
@@ -413,7 +429,8 @@ def _parse_compare_returns(doc, _realizations):
                 _number(g, "sigma", "gaussian", default=1.0))
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
-    _check_size(("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+    _check_size((realizations if p else 1) * n**2,
+                ("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
                 _rows_bytes({"axis.bins": axis[2]}))
     return n, p, axis, theta, ic, stable, gaussian
 
@@ -451,7 +468,11 @@ def _parse_price_path(doc, _realizations):
         raise ConfigError("model", str(exc)) from exc
     mode = model.decoherence.mode
     batch = 1 if mode == "none" else decoherence._CHUNK
+    # a unitary walk serves every horizon; a stochastic one is walked per
+    # horizon and per calibration realization
+    walks = 1 if mode == "none" else horizons + pricing._CALIBRATION_REALIZATIONS
     _check_size(
+        walks * model.steps_per_horizon**2,
         ("model.steps_per_horizon",
          _walk_bytes(model.steps_per_horizon, batch, broken=mode == "broken_links")),
         _rows_bytes({"horizons": horizons + 1}),
@@ -487,7 +508,7 @@ def _grid_distributions(ic: InitialCoinState, pairs, n: int):
     order; ``_CHUNK`` walks at a time share one batched propagation."""
     pairs = iter(pairs)
     while chunk := list(itertools.islice(pairs, _CHUNK)):
-        coins = [make_su2_coin(CoinAngles(xi, theta, 0.0)).matrix for xi, theta in chunk]
+        coins = _su2_matrices([CoinAngles(xi, theta, 0.0) for xi, theta in chunk])
         a, b = propagate(ic.a0, ic.b0, coins, n)
         probs = np.abs(a) ** 2 + np.abs(b) ** 2
         del a, b  # freed before the next chunk propagates

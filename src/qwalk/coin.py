@@ -78,12 +78,30 @@ class CoinOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        dev = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-        if dev > UNITARITY_TOL:
-            raise ValueError(f"coin matrix is not unitary (deviation {dev:.3e})")
-        det_err = abs(abs(np.linalg.det(m)) - 1.0)
-        if det_err > UNITARITY_TOL:
-            raise ValueError(f"coin determinant modulus deviates by {det_err:.3e}")
+        _check_unitary(m[None])
+
+
+def _check_unitary(m: np.ndarray):
+    """Raise ValueError unless every 2x2 matrix of the (B, 2, 2) ``m`` is
+    unitary with unit-modulus determinant, to ``UNITARITY_TOL`` per entry."""
+    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max()
+    if dev > UNITARITY_TOL:
+        raise ValueError(f"coin matrix is not unitary (deviation {dev:.3e})")
+    det_err = np.abs(np.abs(np.linalg.det(m)) - 1.0).max()
+    if det_err > UNITARITY_TOL:
+        raise ValueError(f"coin determinant modulus deviates by {det_err:.3e}")
+
+
+def _su2_matrices(angles) -> np.ndarray:
+    """The (B, 2, 2) three-angle coin matrices of a sequence of ``CoinAngles``,
+    checked as ``CoinOperator`` checks one."""
+    xi, zeta = np.array([(a.xi, a.zeta) for a in angles]).T
+    ct, st = np.array([(math.cos(a.theta), math.sin(a.theta)) for a in angles]).T
+    m = np.empty((len(ct), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1] = np.exp(1j * xi) * ct, np.exp(1j * zeta) * st
+    m[:, 1, 0], m[:, 1, 1] = np.exp(-1j * zeta) * st, -np.exp(-1j * xi) * ct
+    _check_unitary(m)
+    return m
 
 
 def make_su2_coin(angles: CoinAngles) -> CoinOperator:
@@ -93,15 +111,7 @@ def make_su2_coin(angles: CoinAngles) -> CoinOperator:
     ``[[e^{i xi} cos(theta), e^{i zeta} sin(theta)],
     [e^{-i zeta} sin(theta), -e^{-i xi} cos(theta)]]``.
     """
-    ct, st = math.cos(angles.theta), math.sin(angles.theta)
-    m = np.array(
-        [
-            [np.exp(1j * angles.xi) * ct, np.exp(1j * angles.zeta) * st],
-            [np.exp(-1j * angles.zeta) * st, -np.exp(-1j * angles.xi) * ct],
-        ],
-        dtype=complex,
-    )
-    return CoinOperator(m)
+    return CoinOperator(_su2_matrices([angles])[0])
 
 
 def make_theta_coin(theta: float) -> CoinOperator:

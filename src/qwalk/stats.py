@@ -1,7 +1,9 @@
 """Summary statistics and transforms for position distributions.
 
 Moments use compensated (exact) summation because probabilities span many
-orders of magnitude and the third central moment is sign-sensitive.
+orders of magnitude and the third central moment is sign-sensitive; they
+sum over the occupied sites only, which skips the parity zeros of an
+origin-started walk.
 Entropy is in nats throughout.
 """
 
@@ -53,13 +55,19 @@ class Histogram:
 
 
 def moments(dist: PositionDistribution) -> SummaryStats:
-    """Mean, central second/third cumulants, skewness and entropy of P_j."""
-    p = dist.probs
-    j = dist.sites.astype(float)
-    mean = math.fsum(j * p)
+    """Mean, central second/third cumulants, skewness and entropy of P_j.
+
+    The sums run over the occupied sites (P_j != 0, so a NaN stays in); an
+    exact sum has no use for zero terms, so this equals summing over all
+    sites whenever the probabilities are finite."""
+    occupied = dist.probs != 0.0
+    p = dist.probs[occupied]
+    j = dist.sites[occupied].astype(float)
+    # fsum reads a list of floats faster than it iterates an array
+    mean = math.fsum((j * p).tolist())
     dev = j - mean
-    k2 = math.fsum(dev * dev * p)
-    k3 = math.fsum(dev * dev * dev * p)
+    k2 = math.fsum((dev * dev * p).tolist())
+    k3 = math.fsum((dev * dev * dev * p).tolist())
     denom = k2**1.5  # underflows to 0 for denormal variances
     if denom > 0.0:
         skew = k3 / denom
@@ -68,7 +76,7 @@ def moments(dist: PositionDistribution) -> SummaryStats:
         skew = float("nan")
         defined = False
     nz = p[p > 0.0]
-    entropy = -math.fsum(nz * np.log(nz))
+    entropy = -math.fsum((nz * np.log(nz)).tolist())
     return SummaryStats(
         mean=mean, variance=k2, skewness=skew, entropy=entropy, skewness_defined=defined
     )

@@ -156,37 +156,45 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     ``a0``, ``b0``: initial coin amplitudes, scalars or shape (B,).  ``coins``:
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
     ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k reads only
-    the support [-k, k]; per site it is :func:`step_unitary`, bit for bit.
+    the k+1 occupied sites -k, -k+2, ..., k, held contiguously, and the sites
+    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit.
 
     ``broken``: optional (B, n, 2n+2) bool link flags; ``broken[i, k, c]`` breaks
     the link (c-n-1, c-n) at step k of walk i.  A broken link (j, j+1) swaps the
     up output bound for j+1 with the down output bound for j, so both stay at
     their own site in the other component; with the single-angle coin this is
-    the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.
+    the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.  Such
+    walks fill both parities, so their step k reads the whole support [-k, k].
     """
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
         raise ValueError(f"coins must be (B, 2, 2) or (n, B, 2, 2), got {coins.shape}")
-    shape = (2 * n + 1, coins.shape[-3])
-    if broken is not None and broken.shape != (shape[1], n, 2 * n + 2):
-        raise ValueError(f"broken must be {(shape[1], n, 2 * n + 2)}, got {broken.shape}")
+    walks = coins.shape[-3]
+    if broken is not None and broken.shape != (walks, n, 2 * n + 2):
+        raise ValueError(f"broken must be {(walks, n, 2 * n + 2)}, got {broken.shape}")
     # sites-major: every window is one contiguous block, every coin entry a row
-    c = np.broadcast_to(np.ascontiguousarray(np.moveaxis(coins, -3, -1)), (n, 2, 2, shape[1]))
-    a, b, a_next, b_next = (np.zeros(shape, dtype=complex) for _ in range(4))
-    a[n], b[n] = a0, b0
+    c = np.broadcast_to(np.ascontiguousarray(np.moveaxis(coins, -3, -1)), (n, 2, 2, walks))
+    # row lo + r of step k holds site -k + 2r on the occupied sublattice (lo =
+    # 0), or site -k + r of the full window of a broken-link walk (lo = n - k)
+    full = broken is not None
+    a, b, a_next, b_next = (np.zeros(((1 + full) * n + 1, walks), dtype=complex)
+                            for _ in range(4))
+    a[full * n], b[full * n] = a0, b0
     for k, ((c00, c01), (c10, c11)) in enumerate(c):
-        # ping-pong: the buffer written now held step k-1, whose support
-        # [-k+1, k-1] lies inside the new one, so no stale value survives;
-        # dn, then the spent b_src, hold the second product of each sum
-        a_src, b_src = a[n - k : n + k + 1], b[n - k : n + k + 1]
-        up, dn = a_next[n - k + 1 : n + k + 2], b_next[n - k - 1 : n + k]
+        # ping-pong: the buffer written now held step k-1, whose rows lie
+        # inside the new window, bar row lo of a_next: the up outputs skip it,
+        # so it is zeroed; dn, then the spent b_src, hold the second product
+        lo, width = full * (n - k), (1 + full) * k + 1
+        a_src, b_src = a[lo : lo + width], b[lo : lo + width]
+        up, dn = a_next[lo + 1 : lo + width + 1], b_next[lo - full : lo + width - full]
+        a_next[lo] = 0
         np.multiply(c00, a_src, out=up)
         np.multiply(c01, b_src, out=dn)
         np.add(up, dn, out=up)
         np.multiply(c11, b_src, out=dn)
         np.multiply(c10, a_src, out=b_src)
         np.add(b_src, dn, out=dn)
-        if broken is not None:
+        if full:
             # links [-k-1, k] are crossed by the up outputs at sites [-k, k+1]
             # and the down outputs at [-k-1, k] (the outermost still 0); the
             # windows are contiguous, so each flat view writes through
@@ -195,9 +203,10 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
             dn = b_next[n - k - 1 : n + k + 1].reshape(-1)
             up[hit], dn[hit] = dn[hit], up[hit]
         a, a_next, b, b_next = a_next, a, b_next, b
-    # the spent buffers take the results in (B, 2n+1) order
-    a_out, b_out = a_next.reshape(shape[::-1]), b_next.reshape(shape[::-1])
-    a_out[...], b_out[...] = a.T, b.T
+    # the spent buffers, and the views into them, go before the results come
+    a_next = b_next = a_src = b_src = None
+    a_out, b_out = (np.zeros((walks, 2 * n + 1), dtype=complex) for _ in range(2))
+    a_out[:, :: 2 - full], b_out[:, :: 2 - full] = a.T, b.T
     return a_out, b_out
 
 

@@ -467,7 +467,7 @@ def test_memory_ceiling_names_the_field_that_drives_the_table(monkeypatch):
     assert err.value.path == "n_values"
 
 
-def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeypatch):
+def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     docs = [json.loads(p.read_text(encoding="utf-8"))
@@ -478,6 +478,18 @@ def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeyp
     for doc in docs:
         parse_config(doc)
     assert len(docs) == 25  # 10 bundled configs; 3 seeds x 5 benchmark invocations
+    assert capsys.readouterr().err == ""  # none is announced as a large job
+
+
+@pytest.mark.parametrize("n, warned", [(4900, False), (5000, True)])
+def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
+    grid = {"start": 0.01, "stop": 1.5, "count": 64}
+    parse_config({"experiment": "heatmap", "statistic": "skewness", "n": n,
+                  "grid": {"eta": grid, "theta": grid}})
+    err = capsys.readouterr().err
+    # 64 x 64 walks of n^2 site updates each: 9.8e10 at n = 4900, 1.02e11 at 5000
+    assert err == ("warning: the run implies about 1.02e+11 site updates "
+                   "(n^2 per walk or realization)\n" if warned else "")
 
 
 @pytest.mark.parametrize("model", [

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sample_random_phase_coin
-from qwalk.coin import CoinAngles, CoinOperator, make_su2_coin, make_theta_coin
+from qwalk.coin import (
+    CoinAngles,
+    CoinOperator,
+    _check_unitary,
+    _su2_matrices,
+    make_su2_coin,
+    make_theta_coin,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -93,6 +100,23 @@ def test_non_unitary_matrix_rejected():
         CoinOperator(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex))
     with pytest.raises(ValueError, match="2x2"):
         CoinOperator(np.eye(3, dtype=complex))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(angles_st, angles_st, angles_st), min_size=1, max_size=70))
+def test_batched_coins_equal_single_coins_bitwise(triples):
+    angles = [CoinAngles(*t) for t in triples]
+    batch = _su2_matrices(angles)
+    assert batch.shape == (len(angles), 2, 2)
+    single = np.stack([make_su2_coin(a).matrix for a in angles])
+    assert batch.tobytes() == single.tobytes()
+
+
+def test_batched_check_rejects_one_bad_matrix():
+    good = make_su2_coin(CoinAngles(0.3, 0.7, 1.1)).matrix
+    _check_unitary(np.stack([good, good]))
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(np.stack([good, np.diag([1.0, 0.5]), good]))
 
 
 def test_random_phase_coin_p_zero_is_theta_coin():

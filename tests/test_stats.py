@@ -34,6 +34,48 @@ def normalized(vec):
     return arr / arr.sum()
 
 
+def moments_over_every_site(probs):
+    """(mean, variance, skewness, entropy) from fsums over the whole array,
+    the zero sites included."""
+    p = np.asarray(probs, dtype=float)
+    n = (len(p) - 1) // 2
+    j = np.arange(-n, n + 1).astype(float)
+    mean = math.fsum(j * p)
+    dev = j - mean
+    k2 = math.fsum(dev * dev * p)
+    k3 = math.fsum(dev * dev * dev * p)
+    skew = k3 / k2**1.5 if k2**1.5 > 0.0 else math.nan
+    nz = p[p > 0.0]
+    return mean, k2, skew, -math.fsum(nz * np.log(nz))
+
+
+# a zero at most sites, as on the odd sublattice of an origin-started walk
+sparse_vectors = st.integers(0, 12).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just(0.0), st.floats(5e-324, 1.0)),
+        min_size=2 * n + 1, max_size=2 * n + 1,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vectors)
+def test_moments_over_occupied_sites_equal_full_array_sums(vec):
+    s = moments(dist_from(vec))
+    got = (s.mean, s.variance, s.skewness, s.entropy)
+    want = moments_over_every_site(vec)
+    assert all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+    assert s.skewness_defined == (not math.isnan(want[2]))
+
+
+def test_nan_probability_stays_visible_in_moments():
+    probs = [0.0, 0.25, 0.0, math.nan, 0.0, 0.25, 0.0]
+    s = moments(dist_from(probs))
+    assert math.isnan(s.mean) and math.isnan(s.variance) and math.isnan(s.skewness)
+    assert not s.skewness_defined
+    assert s.entropy == moments_over_every_site(probs)[3]
+
+
 def test_moments_of_edge_point_masses():
     n = 7
     probs = np.zeros(2 * n + 1)

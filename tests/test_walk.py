@@ -181,7 +181,7 @@ def _step_loop(ic, coin, n):
     return state
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 100])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100])
 def test_propagate_single_walk_equals_step_loop_bitwise(n):
     coin = make_su2_coin(CoinAngles(0.4, 1.1, 2.3))
     ic = InitialCoinState(0.6, 0.8j)
@@ -229,6 +229,25 @@ def test_propagate_per_step_coins_match_operator_matrix_oracle():
             ra, rb = psi_a, psi_b
         np.testing.assert_allclose(a[w], ra, atol=1e-12, rtol=0)
         np.testing.assert_allclose(b[w], rb, atol=1e-12, rtol=0)
+
+
+def test_propagate_per_step_coins_equal_step_loop_bitwise():
+    rng = np.random.default_rng(12)
+    n, walks = 11, 3
+    steps = [
+        [make_su2_coin(CoinAngles(*rng.uniform(0, 2 * math.pi, 3))) for _ in range(walks)]
+        for _ in range(n)
+    ]
+    ics = [InitialCoinState(*random_ic(rng)) for _ in range(walks)]
+    a, b = propagate(np.array([ic.a0 for ic in ics]), np.array([ic.b0 for ic in ics]),
+                     np.array([[coin.matrix for coin in step] for step in steps]), n)
+    for w, ic in enumerate(ics):
+        state = init_state(ic)
+        for step in steps:
+            state = step_unitary(state, step[w])
+        assert np.array_equal(a[w], state.a) and np.array_equal(b[w], state.b)
+        # the sites of the other parity are never reached
+        assert not np.any(a[w, 1::2]) and not np.any(b[w, 1::2])
 
 
 def test_propagate_matches_operator_matrix_oracle():
