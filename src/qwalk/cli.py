@@ -41,7 +41,7 @@ from .classical import (
 from .coin import CoinAngles, _su2_matrices, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
 from .pricing import DiffusionScaler, QwPriceModel, qw_price_path
-from .stats import moments, normalize_to_reference
+from .stats import _cumulants, moments, normalize_to_reference
 from .walk import (
     DOWN_IC,
     SYMMETRIC_IC,
@@ -269,12 +269,14 @@ def _exclude_half_pi(theta_stop: float, path: str):
 
 def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
     """An upper bound on the bytes a batch of ``n``-step walks holds at once:
-    four (2n+1, batch) complex arrays, plus the (batch, n, 2n+2) link masks
-    of broken-link walks.  ``propagate`` steps four such buffers for
-    broken-link walks and four (n+1, batch) ones on the occupied sublattice
-    otherwise; it frees two of them before it allocates its two (batch, 2n+1)
+    eight (2n+1, batch) complex arrays, plus for broken-link walks the
+    (batch, n, 2n+2) link masks and one step's swap scratch of 41 bytes per
+    link (a flag copy, an int64 index and two complex values).  ``propagate``
+    steps four buffers of at most 2n+1 rows (n+1 on the occupied sublattice)
+    with up to four coin tiles of at most 2n-1 rows (n on the sublattice); it
+    frees two buffers and the tiles before it allocates its two (batch, 2n+1)
     results."""
-    return batch * (64 * (2 * n + 1) + (n * (2 * n + 2) if broken else 0))
+    return batch * (128 * (2 * n + 1) + ((n + 41) * (2 * n + 2) if broken else 0))
 
 
 def _rows_bytes(factors: dict) -> tuple[str, int]:
@@ -503,29 +505,40 @@ def cmd_distribution(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _grid_distributions(ic: InitialCoinState, pairs, n: int):
-    """Position distributions of one walk per (xi, theta) pair, zeta = 0, in
-    order; ``_CHUNK`` walks at a time share one batched propagation."""
+def _grid_probs(ic: InitialCoinState, pairs, n: int):
+    """Position probabilities, (B, 2n+1), of one walk per (xi, theta) pair,
+    zeta = 0, in order: one array per batched propagation of ``_CHUNK`` walks."""
     pairs = iter(pairs)
     while chunk := list(itertools.islice(pairs, _CHUNK)):
         coins = _su2_matrices([CoinAngles(xi, theta, 0.0) for xi, theta in chunk])
         a, b = propagate(ic.a0, ic.b0, coins, n)
         probs = np.abs(a) ** 2 + np.abs(b) ** 2
         del a, b  # freed before the next chunk propagates
+        yield probs
+
+
+def _grid_distributions(ic: InitialCoinState, pairs, n: int):
+    """The rows of :func:`_grid_probs`, one position distribution each."""
+    for probs in _grid_probs(ic, pairs, n):
         yield from (PositionDistribution(n=n, probs=p) for p in probs)
 
 
 def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n."""
+    """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n; the
+    statistics of a chunk of walks come from one exact pass over its occupied
+    sites, equal to ``moments`` cell by cell."""
     statistic, n, eta_range, theta_range, ic = cfg.spec
     header = ["eta", "theta", statistic]
-    rows = []
-    grid = itertools.product(np.linspace(*eta_range), np.linspace(*theta_range))
-    cells, pairs = itertools.tee(grid)
-    for (eta, theta), dist in zip(cells, _grid_distributions(ic, pairs, n)):
-        summary = moments(dist)
-        value = summary.skewness if statistic == "skewness" else summary.variance / n**2
-        rows.append([float(eta), float(theta), value])
+    cells = list(itertools.product(np.linspace(*eta_range), np.linspace(*theta_range)))
+    sites = np.arange(-n, n + 1, 2, dtype=float)
+    values = []
+    for probs in _grid_probs(ic, cells, n):
+        _, k2, k3 = _cumulants(sites, probs[:, ::2])
+        if statistic == "skewness":
+            values += [c3 / d if (d := c2**1.5) > 0.0 else math.nan for c2, c3 in zip(k2, k3)]
+        else:
+            values += [c2 / n**2 for c2 in k2]
+    rows = [[float(eta), float(theta), value] for (eta, theta), value in zip(cells, values)]
     return header, rows
 
 

@@ -92,15 +92,16 @@ def _check_unitary(m: np.ndarray):
         raise ValueError(f"coin determinant modulus deviates by {det_err:.3e}")
 
 
-def _su2_matrices(angles) -> np.ndarray:
+def _su2_matrices(angles, check: bool = True) -> np.ndarray:
     """The (B, 2, 2) three-angle coin matrices of a sequence of ``CoinAngles``,
-    checked as ``CoinOperator`` checks one."""
+    checked as ``CoinOperator`` checks one unless ``check`` is False."""
     xi, zeta = np.array([(a.xi, a.zeta) for a in angles]).T
     ct, st = np.array([(math.cos(a.theta), math.sin(a.theta)) for a in angles]).T
     m = np.empty((len(ct), 2, 2), dtype=complex)
     m[:, 0, 0], m[:, 0, 1] = np.exp(1j * xi) * ct, np.exp(1j * zeta) * st
     m[:, 1, 0], m[:, 1, 1] = np.exp(-1j * zeta) * st, -np.exp(-1j * xi) * ct
-    _check_unitary(m)
+    if check:
+        _check_unitary(m)
     return m
 
 
@@ -111,7 +112,7 @@ def make_su2_coin(angles: CoinAngles) -> CoinOperator:
     ``[[e^{i xi} cos(theta), e^{i zeta} sin(theta)],
     [e^{-i zeta} sin(theta), -e^{-i xi} cos(theta)]]``.
     """
-    return CoinOperator(_su2_matrices([angles])[0])
+    return CoinOperator(_su2_matrices([angles], check=False)[0])  # CoinOperator checks it
 
 
 def make_theta_coin(theta: float) -> CoinOperator:

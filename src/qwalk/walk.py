@@ -15,6 +15,7 @@ exercised only as an independent oracle in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -157,7 +158,13 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
     ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k reads only
     the k+1 occupied sites -k, -k+2, ..., k, held contiguously, and the sites
-    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit.
+    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit,
+    but for a lone walk's first step, which rounds as a broadcast row does.
+
+    Each coin entry reaches numpy in the form it streams fastest, with the
+    same products: a scalar when every walk shares it at every step, a
+    contiguous tile of the window's shape when it is fixed but differs per
+    walk, and the step's (B,) row, broadcast over the window, otherwise.
 
     ``broken``: optional (B, n, 2n+2) bool link flags; ``broken[i, k, c]`` breaks
     the link (c-n-1, c-n) at step k of walk i.  A broken link (j, j+1) swaps the
@@ -172,15 +179,13 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     walks = coins.shape[-3]
     if broken is not None and broken.shape != (walks, n, 2 * n + 2):
         raise ValueError(f"broken must be {(walks, n, 2 * n + 2)}, got {broken.shape}")
-    # sites-major: every window is one contiguous block, every coin entry a row
-    c = np.broadcast_to(np.ascontiguousarray(np.moveaxis(coins, -3, -1)), (n, 2, 2, walks))
     # row lo + r of step k holds site -k + 2r on the occupied sublattice (lo =
     # 0), or site -k + r of the full window of a broken-link walk (lo = n - k)
     full = broken is not None
     a, b, a_next, b_next = (np.zeros(((1 + full) * n + 1, walks), dtype=complex)
                             for _ in range(4))
     a[full * n], b[full * n] = a0, b0
-    for k, ((c00, c01), (c10, c11)) in enumerate(c):
+    for k, (c00, c01, c10, c11) in enumerate(_coin_operands(coins, n, full)):
         # ping-pong: the buffer written now held step k-1, whose rows lie
         # inside the new window, bar row lo of a_next: the up outputs skip it,
         # so it is zeroed; dn, then the spent b_src, hold the second product
@@ -203,11 +208,50 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
             dn = b_next[n - k - 1 : n + k + 1].reshape(-1)
             up[hit], dn[hit] = dn[hit], up[hit]
         a, a_next, b, b_next = a_next, a, b_next, b
-    # the spent buffers, and the views into them, go before the results come
-    a_next = b_next = a_src = b_src = None
+    # the spent buffers, the coin tiles and the views into them go before the
+    # results come
+    a_next = b_next = a_src = b_src = c00 = c01 = c10 = c11 = None
     a_out, b_out = (np.zeros((walks, 2 * n + 1), dtype=complex) for _ in range(2))
     a_out[:, :: 2 - full], b_out[:, :: 2 - full] = a.T, b.T
     return a_out, b_out
+
+
+def _coin_operands(coins, n: int, full: bool):
+    """Per step, the operands (c00, c01, c10, c11) of :func:`propagate`'s
+    products, over windows of width (1 + full) k + 1 and B columns.
+
+    Numpy multiplies a complex scalar or a same-shape operand in one pass,
+    but a (B,) row broadcast over the window one window row at a time.  So an
+    entry every walk shares at every step (bit for bit) is a scalar; a fixed
+    entry that differs per walk is one contiguous tile, built here and sliced
+    to each window; a per-step entry that differs per walk stays the step's
+    row.  A lone walk's first step keeps the rows, as before: its window is
+    1 x 1, and there numpy's scalar path can round differently (fused) from
+    a broadcast row, which a complex initial state exposes.
+    """
+    if n == 0:
+        return
+    fixed, walks = coins.ndim == 3, coins.shape[-3]
+    # sites-major: entry e of step k is the (B,) row entries[k, e], or
+    # entries[0, e] for fixed coins
+    entries = np.ascontiguousarray(np.moveaxis(coins, -3, -1)).reshape(
+        1 if fixed else n, 4, walks)
+    bits = entries.view(np.uint64).reshape(*entries.shape, 2)
+    widths = range(1, (1 + full) * (n - 1) + 2, 1 + full)
+    streams = []
+    for e in range(4):
+        if walks and np.all(bits[:, e] == bits[:1, e, :1]):
+            streams.append(itertools.repeat(entries[0, e, 0], n))
+        elif fixed:
+            tile = np.ascontiguousarray(np.broadcast_to(entries[0, e], (widths[-1], walks)))
+            streams.append(map(tile.__getitem__, map(slice, widths)))
+        else:
+            streams.append(entries[:, e])
+    steps = zip(*streams)
+    if walks == 1:
+        next(steps)
+        yield tuple(entries[0])
+    yield from steps
 
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:

@@ -2,7 +2,9 @@ import copy
 import importlib
 import json
 import math
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,10 @@ from qwalk.cli import (
     write_outputs,
 )
 from qwalk.classical import stable_pdf
-from qwalk.coin import make_theta_coin
-from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution
+from qwalk.coin import CoinAngles, _su2_matrices, make_theta_coin
+from qwalk.decoherence import _phase_coins
+from qwalk.stats import moments
+from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution, propagate
 
 
 def make_cfg(doc, experiment=None):
@@ -479,6 +483,52 @@ def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeyp
         parse_config(doc)
     assert len(docs) == 25  # 10 bundled configs; 3 seeds x 5 benchmark invocations
     assert capsys.readouterr().err == ""  # none is announced as a large job
+
+
+@pytest.mark.parametrize("case, p", [
+    ("heatmap", None),
+    ("broken_links", 0.2),
+    ("broken_links_per_walk_coins", 1.0),  # every link swaps: the most scratch
+])
+def test_walk_bytes_bounds_one_propagate_call(case, p):
+    n, walks = 20, 64
+    rng = np.random.default_rng(4)
+    if case == "broken_links":  # the engine's one real coin: no coin tiles
+        coins = _phase_coins(0.7, np.zeros((walks, 1)))[0]
+    else:  # a coin per walk: four tiles as tall as the widest window
+        coins = _su2_matrices([CoinAngles(x, t, 0.0) for x, t in rng.uniform(0, 1.5, (walks, 2))])
+    broken = None if p is None else rng.random((walks, n, 2 * n + 2)) < p
+    held = coins.nbytes + (0 if p is None else broken.nbytes)
+    tracemalloc.start()
+    try:
+        propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n, broken=broken)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held + peak <= cli._walk_bytes(n, walks, broken=p is not None)
+
+
+@pytest.mark.parametrize("ic, theta", [
+    # theta = 0 gives point masses (0/0 skewness); near 0, sites underflow to 0
+    ("up", {"start": 0.0, "stop": 1e-6, "count": 9}),
+    ("symmetric", {"start": 0.0, "stop": 1.5, "count": 9}),
+])
+@pytest.mark.parametrize("statistic", ["skewness", "variance_over_n2"])
+def test_heatmap_chunk_statistics_equal_per_cell_moments(statistic, ic, theta):
+    # 81 cells: a chunk of 64 takes the batched sums, the other 17 fsum
+    cfg = make_cfg(dict(HEATMAP_DOC, statistic=statistic, initial_state=ic, grid={
+        "eta": {"start": 0.0, "stop": 1.2, "count": 9}, "theta": theta}))
+    _, n, _, _, initial = cfg.spec
+    _, rows = cmd_heatmap(cfg)
+    dists = cli._grid_distributions(initial, [(eta, th) for eta, th, _ in rows], n)
+    want = []
+    for dist in dists:
+        s = moments(dist)
+        want.append(s.skewness if statistic == "skewness" else s.variance / n**2)
+    assert len(want) == len(rows) == 81
+    assert [struct.pack("<d", row[2]) for row in rows] == [struct.pack("<d", w) for w in want]
+    if statistic == "skewness" and ic == "up":
+        assert math.isnan(rows[0][2])
 
 
 @pytest.mark.parametrize("n, warned", [(4900, False), (5000, True)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sample_random_phase_coin
+from qwalk import coin
 from qwalk.coin import (
     CoinAngles,
     CoinOperator,
@@ -117,6 +118,20 @@ def test_batched_check_rejects_one_bad_matrix():
     _check_unitary(np.stack([good, good]))
     with pytest.raises(ValueError, match="not unitary"):
         _check_unitary(np.stack([good, np.diag([1.0, 0.5]), good]))
+
+
+def test_su2_coin_is_checked_once(monkeypatch):
+    calls = []
+
+    def counting_check(m):
+        calls.append(m.shape)
+        return _check_unitary(m)
+
+    monkeypatch.setattr(coin, "_check_unitary", counting_check)
+    make_su2_coin(CoinAngles(0.3, 0.7, 1.1))
+    assert calls == [(1, 2, 2)]
+    _su2_matrices([CoinAngles(0.3, 0.7, 1.1)] * 3)
+    assert calls == [(1, 2, 2), (3, 2, 2)]
 
 
 def test_random_phase_coin_p_zero_is_theta_coin():

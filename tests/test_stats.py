@@ -1,10 +1,13 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import stats
 from qwalk.coin import make_theta_coin
 from qwalk.stats import (
     aggregate_histogram,
@@ -133,6 +136,75 @@ def test_entropy_permutation_invariant_and_bounded(vec):
     h2 = moments(dist_from(shuffled)).entropy
     assert h1 == pytest.approx(h2, abs=1e-12)
     assert -1e-12 <= h1 <= math.log(len(p)) + 1e-12
+
+
+# terms of sign * m * 2^e over the whole exponent range, subnormals included
+magnitudes = st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                       st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023),
+                       st.sampled_from([1.0, -1.0]))
+fsum_terms = st.one_of(
+    magnitudes,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 2.0**-53,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def fsum_rows(draw):
+    row = draw(st.lists(fsum_terms, max_size=30))
+    if row and draw(st.booleans()):  # cancellation: a prefix comes back negated
+        row += [-x for x in row[: draw(st.integers(1, len(row)))]]
+    if draw(st.booleans()):  # a tie, or a near-tie a tiny nudge away
+        base = draw(magnitudes)
+        half = math.ulp(base) / 2
+        row += [base, half, draw(st.sampled_from([0.0, half * 2.0**-60, -half * 2.0**-60]))]
+    return draw(st.permutations(row))
+
+
+def fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(fsum_rows(), min_size=1, max_size=8))
+def test_batched_row_sums_equal_fsum_bitwise(rows):
+    # enough copies of the rows to take the certified double-double path;
+    # each row is zero-padded, and the padding is left out of ``keep``
+    rows = rows * -(-stats._BATCH_ROWS // len(rows))
+    width = max(map(len, rows))
+    x = np.zeros((len(rows), width))
+    keep = np.zeros((len(rows), width), dtype=bool)
+    for r, row in enumerate(rows):
+        x[r, : len(row)], keep[r, : len(row)] = row, True
+    want = [fsum_or_error(row) for row in rows]
+    errors = [w for w in want if isinstance(w, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
+            stats._row_sums(x, keep)
+        return
+    got = stats._row_sums(x, keep)
+    assert [struct.pack("<d", g) for g in got] == [struct.pack("<d", w) for w in want]
+
+
+def test_certified_row_sums_cover_walk_rows_and_leave_ties_to_fsum():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((64, 101)) * 10.0 ** rng.integers(-8, 8, (64, 101))
+    sums, exact = stats._certified_sums(x)
+    assert exact.mean() > 0.9
+    assert [struct.pack("<d", s) for s in sums[exact]] == [
+        struct.pack("<d", math.fsum(row)) for row in x[exact]]
+    # 1 + 2^-53 is a tie, rounded to even by fsum; the certificate declines it
+    ties = np.tile([1.0, 2.0**-53, 0.0], (40, 1))
+    ties[::2, 2] = 2.0**-110
+    sums, exact = stats._certified_sums(ties)
+    assert not exact[1::2].any()
+    keep = np.ones(ties.shape, dtype=bool)
+    assert stats._row_sums(ties, keep) == [math.fsum(row) for row in ties]
 
 
 def test_histogram_width_one_is_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -181,6 +182,21 @@ def _step_loop(ic, coin, n):
     return state
 
 
+#: an initial state with all four parts nonzero, whose products round
+GENERAL_IC = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)
+#: sha256 of a.tobytes() + b.tobytes() of its single walk under the coin
+#: below, recorded with the kernel that broadcast every coin entry as a row
+GENERAL_IC_SHA256 = {
+    0: "26bffb925706f7029589a5602504687c041413dd554779d73e65fd976825a495",
+    1: "b3f9e7858aac2339bd7e4cdd4ea3edc2550a90526f6eaff597878efa25ba28d0",
+    2: "7b46e2e195c98704baf5bf8c90ab6b12b62f5bc9aef0203b08e668b40376f98c",
+    3: "22bbae58f980000847a61eebac104c2bd42392d235d80f4628e093687d26ed86",
+    7: "ecc0a8f0a6ef39d22cc05670574f6ea8f8353ec340accc58a83f5cc209102821",
+    8: "d06387c7ab7a39cd2bccbf9d9d594e59e57282ab284ec55aac2ef1f98ed46676",
+    100: "77b430ee83b9df7f041aa573d5ec8b08397598e3027847e8af62d9978f7395e1",
+}
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100])
 def test_propagate_single_walk_equals_step_loop_bitwise(n):
     coin = make_su2_coin(CoinAngles(0.4, 1.1, 2.3))
@@ -190,6 +206,10 @@ def test_propagate_single_walk_equals_step_loop_bitwise(n):
     assert a.shape == b.shape == (1, 2 * n + 1)
     assert np.array_equal(a[0], state.a) and np.array_equal(b[0], state.b)
     assert np.array_equal(evolve(ic, coin, n).a, state.a)
+    # a lone walk's 1 x 1 first step keeps the broadcast row's rounding,
+    # which a complex initial state exposes
+    a, b = propagate(GENERAL_IC.a0, GENERAL_IC.b0, coin.matrix[None], n)
+    assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == GENERAL_IC_SHA256[n]
 
 
 def test_propagate_batch_equals_per_walk_runs():
