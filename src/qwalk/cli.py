@@ -275,7 +275,8 @@ def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
     steps four buffers of at most 2n+1 rows (n+1 on the occupied sublattice)
     with up to four coin tiles of at most 2n-1 rows (n on the sublattice); it
     frees two buffers and the tiles before it allocates its two (batch, 2n+1)
-    results."""
+    results.  A random-phase chunk has per-step coins instead of tiles: 128n
+    bytes a walk with their contiguous copy, beside 8n bytes of phases."""
     return batch * (128 * (2 * n + 1) + ((n + 41) * (2 * n + 2) if broken else 0))
 
 
@@ -385,12 +386,13 @@ def _parse_entropy(doc, realizations):
     flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     widest = max(range(len(n_values)), key=n_values.__getitem__)
-    # a random-phase sweep holds the (realizations, n, 2) uniforms of its n
-    draws = 16 * realizations * n_values[widest] if any(p_tildes) else 0
     walks = theta_grid[2] * sum(realizations if p else 1 for p in p_tildes)
+    # a random-phase sweep ends with up to six (2n+1) float rows per theta
+    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) if any(p_tildes) else 0
     _check_size(
         walks * sum(n**2 for n in n_values),
-        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK) + draws),
+        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
+        ("theta_grid.count", sweep),
         _rows_bytes({"theta_grid.count": theta_grid[2],
                      "n_values": len(n_values) * (len(p_tildes) + 2)}),
     )
@@ -560,8 +562,8 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
                 dists = _grid_distributions(ic, ((0.0, t) for t in thetas), n)
             else:
                 spec = DecoherenceSpec.random_phase(p_tilde)
-                dists = (run_ensemble(ic, t, spec, n, cfg.realizations, cfg.seed).mean
-                         for t in thetas)
+                dists = (result.mean for result in decoherence._sweep(
+                    ic, thetas, spec, n, cfg.realizations, cfg.seed))
             for theta, dist in zip(thetas, dists):
                 rows.append(["quantum", n, float(p_tilde), float(theta), moments(dist).entropy])
         if include_classical:

@@ -29,7 +29,9 @@ step, bit-flip channels) are out of scope here.
 Ensembles are reproducible: realization r uses the random stream derived
 from ``SeedSequence(entropy=seed, spawn_key=(r,))``, so results do not
 depend on evaluation order, and the mean is accumulated in increasing-r
-order.
+order.  One loop creates each chunk's streams and draws its noise once,
+then walks it at every theta of a sweep; an ensemble is the sweep at one
+theta, and price-path horizon h is realization h.
 
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
@@ -37,7 +39,6 @@ equal bit for bit, live with the tests in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ __all__ = [
     "realization_rng",
 ]
 
-#: walks per propagate call in run_ensemble and pricing.qw_price_path
+#: realizations per chunk of the ensemble loop: walks per propagate call
 _CHUNK = 128
 
 
@@ -134,44 +135,79 @@ def run_ensemble(
       per-step random-phase oracle in ``tests/helpers.py``, bit for bit.
 
     The mean is accumulated over realizations in increasing order and
-    renormalized to sum to exactly one.
+    renormalized to sum to exactly one.  It is the theta sweep at ``theta``
+    alone; a sweep shares each chunk's streams and noise across theta and
+    gives every theta this result, bit for bit.
     """
+    return _sweep(ic, [theta], spec, n, realizations, seed)[0]
+
+
+def _sweep(ic, thetas, spec, n, realizations, seed) -> list[EnsembleResult]:
+    """:func:`run_ensemble` at each of ``thetas``, walking every chunk's
+    realizations at each theta from noise drawn once."""
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
 
+    size = 2 * n + 1
     # zero disruption probability carries no stochasticity at all: route it
     # through the deterministic path so the mean is exactly the unitary
     # distribution and the standard error is exactly zero
     if spec.mode == "none" or spec.p == 0.0 or n == 0:
-        dist = position_distribution(evolve(ic, make_theta_coin(theta), n))
-        mean = dist.probs / dist.total()
-        return EnsembleResult(PositionDistribution(n=n, probs=mean), np.zeros(2 * n + 1))
+        dists = (position_distribution(evolve(ic, make_theta_coin(t), n)) for t in thetas)
+        return [EnsembleResult(PositionDistribution(n=n, probs=d.probs / d.total()),
+                               np.zeros(size)) for d in dists]
 
-    size = 2 * n + 1
-    acc = np.zeros(size)
-    acc_sq = np.zeros(size)
-    if spec.mode == "random_phase":
-        draws = _phase_draws(seed, n, realizations)
-    for start in range(0, realizations, _CHUNK):
-        stop = min(start + _CHUNK, realizations)
-        if spec.mode == "broken_links":
-            rngs = [realization_rng(seed, r) for r in range(start, stop)]
-            probs = _evolve_broken_chunk(ic, theta, spec.p, n, rngs)
-        else:
-            probs = _evolve_phase_chunk(ic, theta, spec.p, n, draws[start:stop])
-        acc += probs.sum(axis=0)
-        acc_sq += (probs**2).sum(axis=0)
+    acc, acc_sq = np.zeros((2, len(thetas), size))
+    for _, walks in _chunks(ic, thetas, spec, n, realizations, seed):
+        for k, probs in enumerate(walks):
+            acc[k] += probs.sum(axis=0)
+            acc_sq[k] += (probs**2).sum(axis=0)
 
     mean = acc / realizations
     if realizations > 1:
         var = (acc_sq - realizations * mean**2) / (realizations - 1)
         sem = np.sqrt(np.maximum(var, 0.0) / realizations)
     else:
-        sem = np.zeros(size)
-    mean = mean / mean.sum()
-    return EnsembleResult(PositionDistribution(n=n, probs=mean), sem)
+        sem = np.zeros_like(acc)
+    return [EnsembleResult(PositionDistribution(n=n, probs=m / m.sum()), s)
+            for m, s in zip(mean, sem)]
+
+
+def _chunks(ic, thetas, spec, n, realizations, seed):
+    """Per chunk of ``_CHUNK`` realizations, in increasing r: its streams and
+    :func:`_chunk_walks` of them, which draws their noise when first asked."""
+    for start in range(0, realizations, _CHUNK):
+        rngs = [realization_rng(seed, r) for r in range(start, min(start + _CHUNK, realizations))]
+        yield rngs, _chunk_walks(ic, thetas, spec, n, rngs)
+
+
+def _chunk_walks(ic, thetas, spec, n, rngs):
+    """Position probabilities, a C-contiguous (len(rngs), 2n+1) array at each
+    of ``thetas`` in turn, of one walk per generator, whose noise ("none" has
+    none) is drawn before the first theta.  The noise lives here alone, so it
+    goes when this finishes or is dropped, before the next chunk's is drawn."""
+    zetas, broken = np.zeros((len(rngs), 1)), None  # one real coin for every step
+    if spec.mode == "broken_links":
+        broken = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
+        for mask, rng in zip(broken, rngs):
+            np.less(rng.random((n, 2 * n + 2)), spec.p, out=mask)
+    elif spec.mode == "random_phase":
+        draws = np.array([rng.random((n, 2)) for rng in rngs])
+        zetas = np.where(draws[:, :, 0] < spec.p, TWO_PI * draws[:, :, 1], 0.0)
+        del draws  # the phases alone are walked
+    for theta in thetas:
+        yield _walk_probs(ic, theta, zetas, n, broken)
+
+
+def _walk_probs(ic, theta, zetas, n, broken):
+    """Position probabilities under ``_phase_coins(theta, zetas)``, one coin
+    for every step if ``zetas`` has one column; a function of its own so one
+    theta's coins and amplitudes are freed before the next theta's are built."""
+    coins = _phase_coins(theta, zetas)
+    a, b = propagate(ic.a0, ic.b0, coins if len(coins) == n else coins[0], n, broken=broken)
+    return np.abs(a) ** 2 + np.abs(b) ** 2
 
 
 def _phase_coins(theta, zetas):
@@ -184,34 +220,3 @@ def _phase_coins(theta, zetas):
     coins[:, 0, 0], coins[:, 0, 1] = ct, st * phase
     coins[:, 1, 0], coins[:, 1, 1] = st / phase, -ct
     return coins.transpose(0, 3, 1, 2)
-
-
-def _evolve_broken_chunk(ic, theta, p, n, rngs):
-    """Position probabilities, a C-contiguous (len(rngs), 2n+1) array, of one
-    broken-links walk per generator, each drawing ``random((n, 2n+2))``."""
-    masks = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
-    for mask, rng in zip(masks, rngs):
-        np.less(rng.random((n, 2 * n + 2)), p, out=mask)
-    coins = _phase_coins(theta, np.zeros((len(rngs), 1)))[0]  # the real coin
-    a, b = propagate(ic.a0, ic.b0, coins, n, broken=masks)
-    return np.abs(a) ** 2 + np.abs(b) ** 2
-
-
-@functools.lru_cache(maxsize=1)
-def _phase_draws(seed, n, realizations):
-    """Read-only (accept, phase) uniforms, (realizations, n, 2), of every
-    realization; they do not depend on theta or p_tilde, so one copy serves
-    a whole sweep."""
-    draws = np.empty((realizations, n, 2))
-    for r in range(realizations):
-        draws[r] = realization_rng(seed, r).random((n, 2))
-    draws.setflags(write=False)
-    return draws
-
-
-def _evolve_phase_chunk(ic, theta, p_tilde, n, draws):
-    """Position probabilities, (count, 2n+1), of one random-phase walk per
-    row of ``draws``, the (count, n, 2) (accept, phase) uniforms of its steps."""
-    zetas = np.where(draws[:, :, 0] < p_tilde, TWO_PI * draws[:, :, 1], 0.0)
-    a, b = propagate(ic.a0, ic.b0, _phase_coins(theta, zetas), n)
-    return np.abs(a) ** 2 + np.abs(b) ** 2

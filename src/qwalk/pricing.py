@@ -26,7 +26,7 @@ import numpy as np
 
 from . import decoherence
 from .coin import CoinAngles, make_su2_coin
-from .decoherence import DecoherenceSpec, realization_rng, run_ensemble
+from .decoherence import DecoherenceSpec, run_ensemble
 from .stats import moments
 from .walk import InitialCoinState, PositionDistribution, evolve, position_distribution
 
@@ -202,16 +202,6 @@ def qw_return_distribution(
     )
 
 
-def _horizon_probs(model: QwPriceModel, rngs: list) -> np.ndarray:
-    """Position probabilities, (len(rngs), 2n+1), of one stochastic walk per
-    generator on the ensemble engines, so horizon h is ensemble realization h."""
-    n, spec, theta = model.steps_per_horizon, model.decoherence, model.angles.theta
-    if spec.mode == "broken_links":
-        return decoherence._evolve_broken_chunk(model.ic, theta, spec.p, n, rngs)
-    draws = np.array([rng.random((n, 2)) for rng in rngs])
-    return decoherence._evolve_phase_chunk(model.ic, theta, spec.p, n, draws)
-
-
 def qw_price_path(
     model: QwPriceModel,
     total_steps: int,
@@ -240,17 +230,17 @@ def qw_price_path(
     f_val = model.scaler.value(model.horizon)
     n = model.steps_per_horizon
     sites = np.arange(-n, n + 1)
-    prices = np.empty(total_steps + 1)
-    prices[0] = model.s0
-    for start in range(0, total_steps, decoherence._CHUNK):
-        horizons = range(start, min(start + decoherence._CHUNK, total_steps))
-        rngs = [realization_rng(seed, h) for h in horizons]
-        probs = _horizon_probs(model, rngs) if unitary is None else [unitary.probs] * len(rngs)
-        for h, rng, p in zip(horizons, rngs, probs):
+    prices = [model.s0]
+    # horizon h is realization h of the ensemble engine: its stream draws the
+    # walk's noise, then samples the walk
+    for rngs, walks in decoherence._chunks(
+            model.ic, [model.angles.theta], model.decoherence, n, total_steps, seed):
+        probs = next(walks) if unitary is None else [unitary.probs] * len(rngs)
+        for rng, p in zip(rngs, probs):
             j = int(rng.choice(sites, p=p / p.sum()))
             r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
-            prices[h + 1] = prices[h] * math.exp(r)
-    return prices
+            prices.append(prices[-1] * math.exp(r))
+    return np.array(prices)
 
 
 def normalized_returns(prices: np.ndarray, delta_t: int) -> np.ndarray:

@@ -49,7 +49,8 @@ class InitialCoinState:
     b0: complex
 
     def __post_init__(self):
-        norm = abs(self.a0) ** 2 + abs(self.b0) ** 2
+        a, b = abs(self.a0), abs(self.b0)
+        norm = a * a + b * b  # a huge amplitude overflows to inf, where ** raises
         if abs(norm - 1.0) > IC_NORM_TOL:
             raise ValueError(
                 f"initial coin state must be normalized: |a0|^2+|b0|^2 = {norm!r}"

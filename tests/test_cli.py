@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk import cli
+from qwalk import cli, decoherence
 from qwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -28,7 +28,7 @@ from qwalk.cli import (
 )
 from qwalk.classical import stable_pdf
 from qwalk.coin import CoinAngles, _su2_matrices, make_theta_coin
-from qwalk.decoherence import _phase_coins
+from qwalk.decoherence import DecoherenceSpec, _phase_coins, realization_rng
 from qwalk.stats import moments
 from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution, propagate
 
@@ -448,6 +448,11 @@ GRID = HEATMAP_DOC["grid"]
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=3000, decoherence={
         "mode": "broken_links", "p": 0.1})), "model.steps_per_horizon"),
     (dict(PRICE_DOC, horizons=BIG), "horizons"),
+    # |a0|^2 overflows a float: not normalized rather than an OverflowError
+    (dict(DECOHERENCE_DOC, initial_state=[[1e200, 0], [0, 0]]), "initial_state"),
+    # a random-phase sweep's per-theta sums: 48 * 1e5 * 2001 bytes
+    (dict(ENTROPY_DOC, n_values=[1000], p_tilde_values=[0.1],
+          theta_grid=dict(ENTROPY_DOC["theta_grid"], count=10**5)), "theta_grid.count"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -489,19 +494,30 @@ def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeyp
     ("heatmap", None),
     ("broken_links", 0.2),
     ("broken_links_per_walk_coins", 1.0),  # every link swaps: the most scratch
+    ("random_phase_per_step_coins", None),
 ])
 def test_walk_bytes_bounds_one_propagate_call(case, p):
     n, walks = 20, 64
     rng = np.random.default_rng(4)
-    if case == "broken_links":  # the engine's one real coin: no coin tiles
-        coins = _phase_coins(0.7, np.zeros((walks, 1)))[0]
-    else:  # a coin per walk: four tiles as tall as the widest window
-        coins = _su2_matrices([CoinAngles(x, t, 0.0) for x, t in rng.uniform(0, 1.5, (walks, 2))])
-    broken = None if p is None else rng.random((walks, n, 2 * n + 2)) < p
-    held = coins.nbytes + (0 if p is None else broken.nbytes)
+    if case == "random_phase_per_step_coins":
+        # one whole chunk of the engine: its (accept, phase) uniforms, its
+        # zetas, its (n, walks, 2, 2) coins and the propagate call
+        rngs = [realization_rng(4, r) for r in range(walks)]
+        spec = DecoherenceSpec.random_phase(0.5)
+        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], spec, n, rngs)
+        held, run = 0, lambda: list(chunk)
+    else:
+        if case == "broken_links":  # the engine's one real coin: no coin tiles
+            coins = _phase_coins(0.7, np.zeros((walks, 1)))[0]
+        else:  # a coin per walk: four tiles as tall as the widest window
+            angles = rng.uniform(0, 1.5, (walks, 2))
+            coins = _su2_matrices([CoinAngles(x, t, 0.0) for x, t in angles])
+        broken = None if p is None else rng.random((walks, n, 2 * n + 2)) < p
+        held = coins.nbytes + (0 if p is None else broken.nbytes)
+        run = lambda: propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n, broken=broken)
     tracemalloc.start()
     try:
-        propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n, broken=broken)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

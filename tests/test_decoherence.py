@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_ensemble_matches_public_step_surface_in_any_order():
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
     rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
-    got = decoherence._evolve_broken_chunk(ic, 1.1, p, n, rngs)
+    (got,) = decoherence._chunk_walks(ic, [1.1], spec, n, rngs)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     for i, probs in enumerate(got):
         want = replay_walk(ic, 1.1, spec, n, realization_rng(11, 5 + i)).probs
@@ -274,31 +275,71 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
     (0.3, 0.01, 1, 3), (THETA, 0.1, 50, 128), (1.5, 1.0, 20, 64), (1.1, 0.4, 33, 5),
 ])
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
-    ic = InitialCoinState(0.6, 0.8j)
-    draws = decoherence._phase_draws(9, n, 3 + count)[3:]
-    got = decoherence._evolve_phase_chunk(ic, theta, p_tilde, n, draws)
+    ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.random_phase(p_tilde)
+    rngs = [realization_rng(9, r) for r in range(3, 3 + count)]
+    (got,) = decoherence._chunk_walks(ic, [theta], spec, n, rngs)
+    assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
     assert np.array_equal(got, want)
 
 
-def test_phase_draws_are_drawn_once_per_sweep(monkeypatch):
-    calls = []
+def test_each_phase_sweep_creates_its_streams_once_and_keeps_none(monkeypatch):
+    streams = np.zeros(1100, dtype=int)  # preallocated: counting holds nothing
 
     def counting_rng(seed, r):
-        calls.append(r)
+        streams[r] += 1
         return realization_rng(seed, r)
 
     monkeypatch.setattr(decoherence, "realization_rng", counting_rng)
+    n = 20
     # 1100 realizations span nine chunks of decoherence._CHUNK walks
     for realizations in (150, 1100):
-        calls.clear()
-        decoherence._phase_draws.cache_clear()
         cfg = parse_config({
-            "experiment": "entropy", "seed": 123, "realizations": realizations, "n_values": [6],
+            "experiment": "entropy", "seed": 123, "realizations": realizations, "n_values": [n],
             "theta_grid": {"start": 0.1, "stop": 1.2, "count": 5},
             "p_tilde_values": [0.0, 0.2, 1.0],
         })
-        cmd_entropy(cfg)
-        assert sorted(calls) == list(range(realizations))
-        draws = decoherence._phase_draws(123, 6, realizations)
-        assert not draws.flags.writeable
+        cmd_entropy(cfg)  # warm-up: first-call allocations are not the sweep's
+        streams[:] = 0
+        tracemalloc.start()
+        try:
+            cmd_entropy(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # each of the two nonzero p_tilde sweeps creates every stream once
+        assert np.all(streams[:realizations] == 2) and streams.sum() == 2 * realizations
+        # and keeps less than one chunk's (accept, phase) uniforms; a cache
+        # of every realization's would hold 16 * n * realizations bytes
+        assert held < 16 * n * decoherence._CHUNK
+
+
+@pytest.mark.parametrize("realizations", [1, 128, 129, 257])
+@pytest.mark.parametrize("spec", [
+    DecoherenceSpec.broken_links(0.3), DecoherenceSpec.random_phase(0.4),
+], ids=["broken_links", "random_phase"])
+def test_theta_sweep_equals_per_theta_ensembles_bitwise(spec, realizations):
+    ic, thetas, n = InitialCoinState(0.6, 0.8j), [0.2, THETA, 1.1, 1.5], 9
+    sweep = decoherence._sweep(ic, thetas, spec, n, realizations, 31)
+    assert len(sweep) == len(thetas)
+    for theta, got in zip(thetas, sweep):
+        want = run_ensemble(ic, theta, spec, n, realizations, 31)
+        assert got.mean.probs.tobytes() == want.mean.probs.tobytes()
+        assert got.sem.tobytes() == want.sem.tobytes()
+
+
+def test_random_phase_peak_memory_does_not_grow_with_realizations():
+    def peak(realizations):
+        tracemalloc.start()
+        try:
+            run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.random_phase(0.1), 20,
+                         realizations, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # warm-up: first-call allocations are not the engine's
+    # tracemalloc also counts objects parked on Python's free lists and the
+    # spawn-key ints past 256, which are not cached: about 8 KB more at 5000
+    # realizations.  Their (accept, phase) uniforms would be 1.6 MB.
+    assert peak(5000) <= peak(256) + 16 * 1024

@@ -12,7 +12,10 @@ the ``grid_sweep`` benchmark workload in ``perfbench/digests.json``.
 ``VARIANTS`` are bundled configs with a few keys changed, covering paths
 that no bundled config reaches: a random-phase price path and broken-link
 means rescaled to the classical peak.  Their digests were recorded before
-the broken-link engine and the price-path horizons were batched.
+the broken-link engine and the price-path horizons were batched.  The two
+``_200`` variants run 200 realizations, so every ensemble spans two chunks
+of 128 walks; their digests were recorded before the ensembles, theta
+sweeps and price-path horizons shared one chunk loop.
 
 ``META`` pins each run's ``meta.json``, the echo of the effective config,
 so a change to how configs are parsed cannot alter what a run records about
@@ -48,11 +51,23 @@ VARIANTS = {
         "price_path",
         {"model.decoherence": {"mode": "random_phase", "p_tilde": 0.3},
          "model.steps_per_horizon": 40, "horizons": 300},
+        64,
         "b50e564b8ca224dfa1aa6640f82b168577dfaacfd0f5eaabda5b25f1f4c392dd",
     ),
     "decoherence_normalized": (
         "decoherence_broken_links", {"normalize_to_classical": True},
+        64,
         "35a0c70558a3e39c524eb0c6adc5d6351e0ae96956394aff3625e1ebc856c739",
+    ),
+    "entropy_random_phase_200": (
+        "entropy_random_phase", {"theta_grid.count": 6},
+        200,
+        "194e0c68da75c564d9f62574bb6529a40b50057e4acb51d518937d07cb0b7e0d",
+    ),
+    "decoherence_broken_links_200": (
+        "decoherence_broken_links", {},
+        200,
+        "3352110198e380cc99aee022e1be311c2adfc5b40053db908c79c4e94335fa23",
     ),
 }
 
@@ -60,11 +75,15 @@ VARIANTS = {
 META = {
     "compare_returns": "747ec25d8ac65b8200c40ec8b39dcf5dd62c81dbee9c467dd2f82eca8d7500ba",
     "decoherence_broken_links": "08e57fb031163da6e8f744940a4fbbb67cb38b30f3abf283fe6da0947e681e99",
+    "decoherence_broken_links_200":
+        "2300225bbc11c6e27649472114932210d30205e39680c539d7dd8e5346e81f41",
     "decoherence_normalized": "5f56b4d8d3e7e5269718109c2d045d953ac1a79ff8096a29098f9a706702bfc3",
     "distribution_coins": "c86765a2c8235f153669037f52253626de89aac255aba137259bc51de499a471",
     "distribution_initial_states": "60036dd7d8b235a92bf578a16a1b3cc98edb2de62c853fa17e9a04b12e561923",
     "distribution_step_counts": "ae39b4d7f07084ae6f7d59d8f44602d5f29ded637b0c2b6d77bc619135b3ee33",
     "entropy_random_phase": "fe44b1cbf2ef6abe8bd37a796980a4695cbd3ef81ccc3eb4bd629ee88c26d856",
+    "entropy_random_phase_200":
+        "a521e28f5bb37a9742908469e806f114de4106a3316e5147ed52907fd04f4aff",
     "entropy_unitary": "6423a313423fa5622b50bea7ca6a5727626e3727d1d20755022e55c63236477a",
     "heatmap_skewness": "50eba0fcfe314d03a279697080d93962a43f99a7d62638d348b5e1354fbc1dad",
     "heatmap_variance": "ebb23693f438cddce389046d2b7259ada0af23a7c36374a40a781b30786b607f",
@@ -73,13 +92,14 @@ META = {
 }
 
 
-def _digests(doc, tmp_path):
-    """sha256 of the CSV and of the meta.json that one run writes."""
+def _digests(doc, tmp_path, realizations=64):
+    """sha256 of the CSV and of the meta.json that one run writes with
+    ``realizations`` realizations per ensemble."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     experiment = doc["experiment"]
     argv = [experiment.replace("_", "-"), "--config", str(config),
-            "--out", str(tmp_path), "--realizations", "64"]
+            "--out", str(tmp_path), "--realizations", str(realizations)]
     assert run(argv) == 0
     return tuple(hashlib.sha256((tmp_path / f"{experiment}{suffix}").read_bytes()).hexdigest()
                  for suffix in (".csv", ".meta.json"))
@@ -109,6 +129,7 @@ def test_golden_csv_digest(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_variant_csv_digest(name, tmp_path):
-    base, changes, digest = VARIANTS[name]
+    base, changes, realizations, digest = VARIANTS[name]
     doc = json.loads((CONFIG_DIR / f"{base}.json").read_text(encoding="utf-8"))
-    assert _digests(_with_changes(doc, changes), tmp_path) == (digest, META[name])
+    got = _digests(_with_changes(doc, changes), tmp_path, realizations)
+    assert got == (digest, META[name])

@@ -7,7 +7,7 @@ from helpers import replay_walk
 from qwalk import decoherence, pricing
 from qwalk.classical import GbmParams, gbm_path
 from qwalk.coin import CoinAngles
-from qwalk.decoherence import DecoherenceSpec, realization_rng
+from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.pricing import (
     DiffusionScaler,
     QwPriceModel,
@@ -225,11 +225,27 @@ def _price_path_reference(model, total_steps, seed, lattice_scale):
     return np.array(prices)
 
 
+def _walked(monkeypatch, call):
+    """The position probabilities of every walk that ``call()`` runs on the
+    ensemble engine, one row per walk in the order they are walked."""
+    walked, chunk_walks = [], decoherence._chunk_walks
+
+    def recording(*args):
+        for probs in chunk_walks(*args):
+            walked.append(probs)
+            yield probs
+
+    monkeypatch.setattr(decoherence, "_chunk_walks", recording)
+    call()
+    monkeypatch.undo()
+    return np.concatenate(walked)
+
+
 @pytest.mark.parametrize("horizons", [1, 128, 129, 300])
 @pytest.mark.parametrize("spec", [
     DecoherenceSpec.broken_links(0.3), DecoherenceSpec.random_phase(0.4),
 ], ids=["broken_links", "random_phase"])
-def test_price_path_equals_per_horizon_loop_bitwise(spec, horizons):
+def test_price_path_equals_per_horizon_loop_bitwise(spec, horizons, monkeypatch):
     model = model_with(
         mu=0.02, sigma=0.3, ic=InitialCoinState(0.6, 0.8j), angles=CoinAngles(0.0, 1.1, 0.0),
         decoherence=spec, steps_per_horizon=9, scaler=DiffusionScaler.inverse_sqrt(),
@@ -238,21 +254,23 @@ def test_price_path_equals_per_horizon_loop_bitwise(spec, horizons):
     assert np.array_equal(got, _price_path_reference(model, horizons, 21, 0.07))
     # a last-bit change in a probability seldom moves a sampled site, so the
     # batched walks are also compared directly
-    probs = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(horizons)])
+    probs = _walked(monkeypatch, lambda: qw_price_path(model, horizons, 21, 0.07))
+    assert len(probs) == horizons
     for h, row in enumerate(probs):
         want = replay_walk(model.ic, 1.1, spec, 9, realization_rng(21, h))
         assert np.array_equal(row, want.probs)
 
 
 @pytest.mark.parametrize("count", [1, 128, 129])
-def test_phase_horizons_equal_ensemble_realizations_bitwise(count):
+def test_phase_horizons_equal_ensemble_realizations_bitwise(count, monkeypatch):
     # both callers run the one random-phase engine: horizon h of a price path
     # is realization h of the ensemble with the same seed, bit for bit
+    spec = DecoherenceSpec.random_phase(0.4)
     model = model_with(ic=InitialCoinState(0.6, 0.8j), angles=CoinAngles(0.0, 1.1, 0.0),
-                       decoherence=DecoherenceSpec.random_phase(0.4), steps_per_horizon=40)
-    got = pricing._horizon_probs(model, [realization_rng(21, h) for h in range(count)])
-    draws = decoherence._phase_draws(21, 40, count)
-    assert np.array_equal(got, decoherence._evolve_phase_chunk(model.ic, 1.1, 0.4, 40, draws))
+                       decoherence=spec, steps_per_horizon=40)
+    got = _walked(monkeypatch, lambda: qw_price_path(model, count, 21, 0.07))
+    want = _walked(monkeypatch, lambda: run_ensemble(model.ic, 1.1, spec, 40, count, 21))
+    assert got.shape == (count, 81) and np.array_equal(got, want)
 
 
 # ------------------------------------------------------- normalized returns
