@@ -105,8 +105,14 @@ class QuadratureSpec:
     accel_max_terms: int = 4000
 
     def cutoff(self, params: StableParams) -> float:
-        """Truncation point T with |phi(T)| = tail_eps."""
-        return (-math.log(self.tail_eps)) ** (1.0 / params.alpha) / params.c
+        """Truncation point T with |phi(T)| = tail_eps, which must be finite."""
+        try:
+            t_cut = (-math.log(self.tail_eps)) ** (1.0 / params.alpha) / params.c
+        except OverflowError:  # a tiny alpha; a tiny c gives inf
+            t_cut = math.inf
+        if t_cut == math.inf:
+            raise QuadratureError(f"truncation point overflows: {params}")
+        return t_cut
 
 
 def gbm_terminal_samples(
@@ -233,10 +239,7 @@ def _invert_direct(
     def total(n_panels: int) -> float:
         first = t_cut / n_panels
         head = _panel_integrate(f, _graded_edges(0.0, first))
-        if n_panels == 1:
-            return head
-        rest = _panel_integrate(f, np.linspace(first, t_cut, n_panels))
-        return head + rest
+        return head + _panel_integrate(f, np.linspace(first, t_cut, n_panels))
 
     prev = total(n)
     for _ in range(quad.max_refinements):

@@ -470,6 +470,8 @@ def _parse_price_path(doc, _realizations):
         model = QwPriceModel(**kwargs)
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
+    if not math.isfinite(horizons * model.horizon):  # the time of the last row
+        raise ConfigError("horizons", "the time horizons * model.horizon must be finite")
     mode = model.decoherence.mode
     batch = 1 if mode == "none" else decoherence._CHUNK
     # a unitary walk serves every horizon; a stochastic one is walked per

@@ -44,14 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import TWO_PI, make_theta_coin
-from .walk import (
-    InitialCoinState,
-    PositionDistribution,
-    evolve,
-    position_distribution,
-    propagate,
-)
+from .coin import TWO_PI
+from .walk import InitialCoinState, PositionDistribution, propagate
 
 __all__ = [
     "DecoherenceSpec",
@@ -151,13 +145,12 @@ def _sweep(ic, thetas, spec, n, realizations, seed) -> list[EnsembleResult]:
         raise ValueError(f"step count must be non-negative, got {n}")
 
     size = 2 * n + 1
-    # zero disruption probability carries no stochasticity at all: route it
-    # through the deterministic path so the mean is exactly the unitary
-    # distribution and the standard error is exactly zero
+    # zero disruption probability carries no stochasticity: one walk per theta,
+    # with no random stream, is exactly the mean, and the standard error is 0
     if spec.mode == "none" or spec.p == 0.0 or n == 0:
-        dists = (position_distribution(evolve(ic, make_theta_coin(t), n)) for t in thetas)
-        return [EnsembleResult(PositionDistribution(n=n, probs=d.probs / d.total()),
-                               np.zeros(size)) for d in dists]
+        walks = _chunk_walks(ic, thetas, DecoherenceSpec.none(), n, [None])
+        return [EnsembleResult(PositionDistribution(n=n, probs=p[0] / p[0].sum()),
+                               np.zeros(size)) for p in walks]
 
     acc, acc_sq = np.zeros((2, len(thetas), size))
     for _, walks in _chunks(ic, thetas, spec, n, realizations, seed):

@@ -63,7 +63,7 @@ class DiffusionScaler:
             f = np.asarray(self.table_f, dtype=float)
             if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
                 raise ValueError("custom scaler needs matching 1-d t and f tables")
-            if np.any(np.diff(t) <= 0):
+            if np.any(t[1:] <= t[:-1]):  # np.diff would overflow on a +-1e308 span
                 raise ValueError("custom scaler times must be strictly increasing")
             if np.any(f <= 0):
                 raise ValueError("scaler values must be positive")
@@ -115,6 +115,8 @@ class QwPriceModel:
             raise ValueError("steps_per_horizon must be >= 1")
         if self.dt_per_step <= 0:
             raise ValueError("dt_per_step must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("the horizon steps_per_horizon * dt_per_step must be finite")
         if self.decoherence.mode != "none" and self.angles.eta != 0.0:
             raise ValueError(
                 "decoherent walks are defined for the single-angle coin family; "
@@ -155,12 +157,16 @@ def _model_distribution(
 
 
 def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
-    """dx = 1 / (f(horizon) * walk_std), at which the site returns of
-    ``dist`` have standard deviation sigma; a zero-variance walk is rejected."""
+    """dx = 1 / (f(horizon) * walk_std), at which the site returns of ``dist``
+    have standard deviation sigma; a zero-variance walk or an infinite dx fails."""
     variance = moments(dist).variance
     if variance <= 0.0:
         raise ValueError("walk distribution has zero variance; returns degenerate")
-    return 1.0 / (model.scaler.value(model.horizon) * math.sqrt(variance))
+    spread = model.scaler.value(model.horizon) * math.sqrt(variance)
+    dx = 1.0 / spread if spread > 0.0 else math.inf  # a subnormal f underflows
+    if dx == math.inf:
+        raise ValueError(f"lattice scale dx = 1 / {spread} is not finite")
+    return dx
 
 
 def prenormalized_return_distribution(
@@ -240,6 +246,8 @@ def qw_price_path(
             j = int(rng.choice(sites, p=p / p.sum()))
             r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
             prices.append(prices[-1] * math.exp(r))
+            if not math.isfinite(prices[-1]):
+                raise ValueError(f"price at horizon {len(prices) - 1} is {prices[-1]}")
     return np.array(prices)
 
 

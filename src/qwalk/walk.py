@@ -51,7 +51,7 @@ class InitialCoinState:
     def __post_init__(self):
         a, b = abs(self.a0), abs(self.b0)
         norm = a * a + b * b  # a huge amplitude overflows to inf, where ** raises
-        if abs(norm - 1.0) > IC_NORM_TOL:
+        if not abs(norm - 1.0) <= IC_NORM_TOL:  # so that a NaN norm fails too
             raise ValueError(
                 f"initial coin state must be normalized: |a0|^2+|b0|^2 = {norm!r}"
             )
@@ -159,8 +159,7 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
     ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k reads only
     the k+1 occupied sites -k, -k+2, ..., k, held contiguously, and the sites
-    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit,
-    but for a lone walk's first step, which rounds as a broadcast row does.
+    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit.
 
     Each coin entry reaches numpy in the form it streams fastest, with the
     same products: a scalar when every walk shares it at every step, a
@@ -225,11 +224,7 @@ def _coin_operands(coins, n: int, full: bool):
     but a (B,) row broadcast over the window one window row at a time.  So an
     entry every walk shares at every step (bit for bit) is a scalar; a fixed
     entry that differs per walk is one contiguous tile, built here and sliced
-    to each window; a per-step entry that differs per walk stays the step's
-    row.  A lone walk's first step keeps the rows, as before: its window is
-    1 x 1, and there numpy's scalar path can round differently (fused) from
-    a broadcast row, which a complex initial state exposes.
-    """
+    to each window; a per-step entry that differs per walk stays the step's row."""
     if n == 0:
         return
     fixed, walks = coins.ndim == 3, coins.shape[-3]
@@ -248,11 +243,7 @@ def _coin_operands(coins, n: int, full: bool):
             streams.append(map(tile.__getitem__, map(slice, widths)))
         else:
             streams.append(entries[:, e])
-    steps = zip(*streams)
-    if walks == 1:
-        next(steps)
-        yield tuple(entries[0])
-    yield from steps
+    yield from zip(*streams)
 
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:

@@ -198,6 +198,15 @@ def test_stable_pdf_far_tail_power_law_decay():
     assert f2 / f1 == pytest.approx(2.0 ** -1.5, rel=1e-3)
 
 
+@pytest.mark.parametrize("params", [
+    StableParams(0.001, 0.0),  # 36.84 ** 1000 raises OverflowError
+    StableParams(0.5, 0.0, c=1e-310),  # 36.84 ** 2 / c is inf
+])
+def test_stable_pdf_rejects_an_overflowing_cutoff(params):
+    with pytest.raises(QuadratureError, match="truncation point overflows"):
+        stable_pdf(0.0, params)
+
+
 def test_stable_pdf_reports_failed_self_check():
     params = StableParams(1.5, 0.2, c=1.0, mu=0.0)
     with pytest.raises(QuadratureError):

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import itertools
 import json
 import math
 import struct
@@ -30,7 +31,7 @@ from qwalk.classical import stable_pdf
 from qwalk.coin import CoinAngles, _su2_matrices, make_theta_coin
 from qwalk.decoherence import DecoherenceSpec, _phase_coins, realization_rng
 from qwalk.stats import moments
-from qwalk.walk import SYMMETRIC_IC, evolve, position_distribution, propagate
+from qwalk.walk import SYMMETRIC_IC, InitialCoinState, evolve, position_distribution, propagate
 
 
 def make_cfg(doc, experiment=None):
@@ -365,6 +366,15 @@ def test_cli_exit_code_on_self_check_failure(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_cli_exit_code_on_tiny_stable_alpha(tmp_path, capsys):
+    # the truncation point 36.84 ** (1 / alpha) passes the float range
+    cfg_path = write_config(tmp_path, dict(COMPARE_DOC, stable={"alpha": 0.001, "beta": 0.5}))
+    assert run(["compare-returns", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical self-check failed: truncation point overflows")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_csv_uses_full_precision(tmp_path):
     cfg_path = write_config(tmp_path, HEATMAP_DOC)
     out = tmp_path / "o"
@@ -453,6 +463,10 @@ GRID = HEATMAP_DOC["grid"]
     # a random-phase sweep's per-theta sums: 48 * 1e5 * 2001 bytes
     (dict(ENTROPY_DOC, n_values=[1000], p_tilde_values=[0.1],
           theta_grid=dict(ENTROPY_DOC["theta_grid"], count=10**5)), "theta_grid.count"),
+    # an infinite horizon, and a finite one whose row times pass the float range
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], dt_per_step=1e308,
+                                scaler={"mode": "inverse_sqrt"})), "model"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], dt_per_step=1e307)), "horizons"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -547,6 +561,19 @@ def test_heatmap_chunk_statistics_equal_per_cell_moments(statistic, ic, theta):
         assert math.isnan(rows[0][2])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 37])
+def test_distribution_equals_heatmap_cells_bitwise_for_complex_ic(n):
+    # a complex initial state, whose products round, walked alone and in a batch
+    ic = [[0.36, 0.48], [0.48, -0.64]]
+    cells = list(itertools.product([0.0, 0.7, 2.9, 5.1], [0.3, math.pi / 4, 1.2, 2.6]))
+    cfg = make_cfg(dict(DIST_DOC, runs=[
+        {"label": f"c{i}", "n": n, "initial_state": ic, "coin": {"xi": eta, "theta": theta}}
+        for i, (eta, theta) in enumerate(cells)]))
+    _, rows = cmd_distribution(cfg)
+    want = cli._grid_probs(InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j), cells, n)
+    assert np.array([row[4] for row in rows]).tobytes() == np.concatenate(list(want)).tobytes()
+
+
 @pytest.mark.parametrize("n, warned", [(4900, False), (5000, True)])
 def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
     grid = {"start": 0.01, "stop": 1.5, "count": 64}
@@ -561,6 +588,9 @@ def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
 @pytest.mark.parametrize("model", [
     dict(PRICE_DOC["model"], coin={"theta": 0.0}, initial_state="up"),  # a point-mass walk
     dict(PRICE_DOC["model"], mu=1e12),  # exp(r) past the float range
+    # a subnormal f makes dx = 1 / (f * walk_std) infinite
+    dict(PRICE_DOC["model"], scaler={"mode": "custom", "t": [0, 10], "f": [1e-320, 1e-320]}),
+    dict(PRICE_DOC["model"], s0=1e308, mu=100.0),  # a price past the float range
 ])
 def test_price_path_numerical_failures_exit_3(tmp_path, capsys, model):
     cfg_path = write_config(tmp_path, dict(PRICE_DOC, model=model))

@@ -106,10 +106,7 @@ def test_norm_conserved_under_random_masks(theta, p, seed):
 def test_ensemble_p_zero_equals_unitary_exactly():
     result = run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.0), 30, 5, 9)
     unitary = position_distribution(evolve(SYMMETRIC_IC, make_theta_coin(THETA), 30))
-    # averaging identical realizations costs at most an ulp per element
-    np.testing.assert_allclose(
-        result.mean.probs, unitary.probs / unitary.total(), rtol=1e-15, atol=1e-18
-    )
+    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
     assert np.all(result.sem == 0.0)
 
 
@@ -118,9 +115,20 @@ def test_ensemble_p_tilde_zero_equals_unitary_exactly():
         SYMMETRIC_IC, 0.8, DecoherenceSpec.random_phase(0.0), 30, 5, 9
     )
     unitary = position_distribution(evolve(SYMMETRIC_IC, make_theta_coin(0.8), 30))
-    np.testing.assert_allclose(
-        result.mean.probs, unitary.probs / unitary.total(), rtol=1e-15, atol=1e-18
-    )
+    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
+
+
+def test_noiseless_ensemble_creates_no_stream(monkeypatch):
+    def no_rng(seed, r):
+        raise AssertionError("a noiseless ensemble created a random stream")
+
+    monkeypatch.setattr(decoherence, "realization_rng", no_rng)
+    ic, n = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j), 17
+    unitary = position_distribution(evolve(ic, make_theta_coin(THETA), n))
+    # seed -1 is no valid SeedSequence entropy, so a stream would also raise
+    result = run_ensemble(ic, THETA, DecoherenceSpec.broken_links(0.0), n, 300, seed=-1)
+    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
+    assert np.all(result.sem == 0.0)
 
 
 def test_ensemble_mode_none_has_no_stochasticity():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,11 +56,22 @@ def test_scaler_values():
         DiffusionScaler("bogus")
 
 
+def test_custom_scaler_order_check_spans_the_float_range_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.diff of this span overflows with a warning
+        wide = DiffusionScaler.custom([-1e308, 1e308], [1.0, 2.0])
+        with pytest.raises(ValueError, match="increasing"):
+            DiffusionScaler.custom([1e308, -1e308], [1.0, 2.0])
+    assert wide.value(1e308) == 2.0
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         model_with(s0=0.0)
     with pytest.raises(ValueError):
         model_with(steps_per_horizon=0)
+    with pytest.raises(ValueError, match="finite"):
+        model_with(dt_per_step=1e308)  # 100 steps overflow the horizon to inf
     # decoherent runs require the single-angle coin family
     with pytest.raises(ValueError, match="single-angle"):
         model_with(
@@ -195,6 +207,18 @@ def test_price_path_horizon_returns_bounded_by_lattice():
     sites = returns / (0.3 * dx)
     assert np.all(np.abs(sites - np.round(sites)) < 1e-9)
     assert np.max(np.abs(sites)) <= 16
+
+
+def test_price_path_rejects_non_finite_lattice_scale_and_prices():
+    # f = 1e-320 is subnormal: dx = 1 / (f * walk_std) passes the float range
+    tiny = DiffusionScaler.custom([0.0, 10.0], [1e-320, 1e-320])
+    with pytest.raises(ValueError, match="lattice scale"):
+        qw_price_path(model_with(scaler=tiny), total_steps=3, seed=0)
+    with pytest.raises(ValueError, match="lattice scale"):
+        prenormalized_return_distribution(model_with(scaler=tiny), seed=0, realizations=1)
+    # a drift of e per horizon takes the first price past the float range
+    with pytest.raises(ValueError, match="price at horizon 1 is inf"):
+        qw_price_path(model_with(s0=1e308, mu=100.0), total_steps=3, seed=0)
 
 
 def test_unitary_price_path_walks_once(monkeypatch):

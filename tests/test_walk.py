@@ -45,6 +45,12 @@ def test_init_state_rejects_unnormalized():
         InitialCoinState(1.0, 0.1)
 
 
+@pytest.mark.parametrize("a0", [float("nan"), complex(0.6, float("nan"))])
+def test_init_state_rejects_nan_amplitude(a0):
+    with pytest.raises(ValueError, match="normalized"):
+        InitialCoinState(a0, 0.8)
+
+
 def test_single_hadamard_step():
     state = step_unitary(init_state(UP_IC), HADAMARD)
     r = 1 / math.sqrt(2)
@@ -185,15 +191,15 @@ def _step_loop(ic, coin, n):
 #: an initial state with all four parts nonzero, whose products round
 GENERAL_IC = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)
 #: sha256 of a.tobytes() + b.tobytes() of its single walk under the coin
-#: below, recorded with the kernel that broadcast every coin entry as a row
+#: below, which the test also checks against the step_unitary loop bit for bit
 GENERAL_IC_SHA256 = {
     0: "26bffb925706f7029589a5602504687c041413dd554779d73e65fd976825a495",
-    1: "b3f9e7858aac2339bd7e4cdd4ea3edc2550a90526f6eaff597878efa25ba28d0",
-    2: "7b46e2e195c98704baf5bf8c90ab6b12b62f5bc9aef0203b08e668b40376f98c",
-    3: "22bbae58f980000847a61eebac104c2bd42392d235d80f4628e093687d26ed86",
-    7: "ecc0a8f0a6ef39d22cc05670574f6ea8f8353ec340accc58a83f5cc209102821",
-    8: "d06387c7ab7a39cd2bccbf9d9d594e59e57282ab284ec55aac2ef1f98ed46676",
-    100: "77b430ee83b9df7f041aa573d5ec8b08397598e3027847e8af62d9978f7395e1",
+    1: "fe8ec42872c9558ef3dafb7f737034f37bfa5c1822dfbd0acbcb762679295d37",
+    2: "2db419700e7b7900b75c25ac5f839e344d2471371aa96bc4b4534b0c9bc64e04",
+    3: "7217326301695c59b7c06f05512f9f16b093e6da936ddb2ae308d98d0cff27f7",
+    7: "51cb9d71bcd4251e1413d1715aae141e408571d2a571b757492279b18a2d1f82",
+    8: "63d303faff590af31f06a517ea203992f59b54b0ccce19b474bdb20d334476e4",
+    100: "0eab01e13571b562ca51bab42f078b968b8d14cf82d6659f821ba1e83113df66",
 }
 
 
@@ -206,9 +212,10 @@ def test_propagate_single_walk_equals_step_loop_bitwise(n):
     assert a.shape == b.shape == (1, 2 * n + 1)
     assert np.array_equal(a[0], state.a) and np.array_equal(b[0], state.b)
     assert np.array_equal(evolve(ic, coin, n).a, state.a)
-    # a lone walk's 1 x 1 first step keeps the broadcast row's rounding,
-    # which a complex initial state exposes
+    # a complex initial state, whose products round, walks alone as the loop does
     a, b = propagate(GENERAL_IC.a0, GENERAL_IC.b0, coin.matrix[None], n)
+    state = _step_loop(GENERAL_IC, coin, n)
+    assert np.array_equal(a[0], state.a) and np.array_equal(b[0], state.b)
     assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == GENERAL_IC_SHA256[n]
 
 
