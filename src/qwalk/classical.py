@@ -62,9 +62,9 @@ class GbmParams:
     s0: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # each check is written so that NaN fails it
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.s0 <= 0:
+        if not self.s0 > 0:
             raise ValueError(f"s0 must be positive, got {self.s0}")
 
 
@@ -83,7 +83,7 @@ class StableParams:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
-        if self.c <= 0:
+        if not self.c > 0:  # written so that NaN fails it, as the two above do
             raise ValueError(f"scale c must be positive, got {self.c}")
 
 
@@ -201,9 +201,9 @@ def stable_pdf(
     t_cut = quad.cutoff(params)
     cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
     if cycles <= quad.max_direct_cycles:
-        value = _invert_direct(x, params, quad, t_cut)
+        value = _invert_direct(x, params, quad, t_cut, cycles)
     else:
-        value = _invert_accelerated(x, params, quad)
+        value = _invert_accelerated(x, params, quad, t_cut)
     return max(value, 0.0)
 
 
@@ -230,10 +230,9 @@ def _graded_edges(lo: float, hi: float, levels: int = 54) -> np.ndarray:
 
 
 def _invert_direct(
-    x: float, params: StableParams, quad: QuadratureSpec, t_cut: float
+    x: float, params: StableParams, quad: QuadratureSpec, t_cut: float, cycles: float
 ) -> float:
     f = lambda t: _cos_integrand(t, x, params)
-    cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
     n = max(16, int(math.ceil(2.0 * cycles)))
 
     def total(n_panels: int) -> float:
@@ -266,13 +265,14 @@ def _averaged_tail(partial_sums: list[float], window: int = 40) -> float:
     return float(arr[0])
 
 
-def _invert_accelerated(x: float, params: StableParams, quad: QuadratureSpec) -> float:
+def _invert_accelerated(
+    x: float, params: StableParams, quad: QuadratureSpec, t_cut: float
+) -> float:
     """Far-tail inversion: integrate half-periods of the oscillation and
     accelerate the alternating series.  Used when direct panel quadrature
     would need more than ``max_direct_cycles`` oscillation cycles."""
     freq = abs(x - params.mu)
     h = math.pi / freq
-    t_cut = quad.cutoff(params)
     f = lambda t: _cos_integrand(t, x, params)
     partial = [_panel_integrate(f, _graded_edges(0.0, h))]
     prev_est = None

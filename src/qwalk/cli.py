@@ -38,7 +38,7 @@ from .classical import (
     classical_rw_distribution,
     stable_pdf,
 )
-from .coin import CoinAngles, _su2_matrices, make_su2_coin
+from .coin import CoinAngles, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
 from .pricing import DiffusionScaler, QwPriceModel, qw_price_path
 from .stats import _cumulants, moments, normalize_to_reference
@@ -46,17 +46,14 @@ from .walk import (
     DOWN_IC,
     SYMMETRIC_IC,
     UP_IC,
+    _GRID_CHUNK,
     InitialCoinState,
-    PositionDistribution,
+    _grid_probs,
     evolve,
     position_distribution,
-    propagate,
 )
 
 __all__ = ["ExperimentConfig", "ConfigError", "SelfCheckError", "main"]
-
-#: walks per batched propagate call in the grid sweeps
-_CHUNK = 64
 
 #: ceiling on the working memory a config may ask for, as its parser estimates it
 MAX_WORK_BYTES = 2 * 2**30
@@ -371,7 +368,7 @@ def _parse_heatmap(doc, _realizations):
     eta, theta = (_parse_range(g[key], f"grid.{key}", _angle=True) for key in ("eta", "theta"))
     _exclude_half_pi(theta[1], "grid.theta.stop")
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    _check_size(eta[2] * theta[2] * n**2, ("n", _walk_bytes(n, _CHUNK)),
+    _check_size(eta[2] * theta[2] * n**2, ("n", _walk_bytes(n, _GRID_CHUNK)),
                 _rows_bytes({"grid.eta.count": eta[2], "grid.theta.count": theta[2]}))
     return statistic, n, eta, theta, ic
 
@@ -387,8 +384,8 @@ def _parse_entropy(doc, realizations):
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     widest = max(range(len(n_values)), key=n_values.__getitem__)
     walks = theta_grid[2] * sum(realizations if p else 1 for p in p_tildes)
-    # a random-phase sweep ends with up to six (2n+1) float rows per theta
-    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) if any(p_tildes) else 0
+    # a sweep ends with up to six (2n+1) float rows per theta
+    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1)
     _check_size(
         walks * sum(n**2 for n in n_values),
         (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
@@ -509,24 +506,6 @@ def cmd_distribution(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _grid_probs(ic: InitialCoinState, pairs, n: int):
-    """Position probabilities, (B, 2n+1), of one walk per (xi, theta) pair,
-    zeta = 0, in order: one array per batched propagation of ``_CHUNK`` walks."""
-    pairs = iter(pairs)
-    while chunk := list(itertools.islice(pairs, _CHUNK)):
-        coins = _su2_matrices([CoinAngles(xi, theta, 0.0) for xi, theta in chunk])
-        a, b = propagate(ic.a0, ic.b0, coins, n)
-        probs = np.abs(a) ** 2 + np.abs(b) ** 2
-        del a, b  # freed before the next chunk propagates
-        yield probs
-
-
-def _grid_distributions(ic: InitialCoinState, pairs, n: int):
-    """The rows of :func:`_grid_probs`, one position distribution each."""
-    for probs in _grid_probs(ic, pairs, n):
-        yield from (PositionDistribution(n=n, probs=p) for p in probs)
-
-
 def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """(eta, theta, statistic) sweep of the symmetric-IC walk at fixed n; the
     statistics of a chunk of walks come from one exact pass over its occupied
@@ -560,14 +539,11 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rows = []
     for n in n_values:
         for p_tilde in p_tildes:
-            if p_tilde == 0.0:
-                dists = _grid_distributions(ic, ((0.0, t) for t in thetas), n)
-            else:
-                spec = DecoherenceSpec.random_phase(p_tilde)
-                dists = (result.mean for result in decoherence._sweep(
-                    ic, thetas, spec, n, cfg.realizations, cfg.seed))
-            for theta, dist in zip(thetas, dists):
-                rows.append(["quantum", n, float(p_tilde), float(theta), moments(dist).entropy])
+            results = decoherence._sweep(ic, thetas, DecoherenceSpec.random_phase(p_tilde),
+                                         n, cfg.realizations, cfg.seed)
+            for theta, result in zip(thetas, results):
+                rows.append(["quantum", n, float(p_tilde), float(theta),
+                             moments(result.mean).entropy])
         if include_classical:
             h_classical = moments(classical_rw_distribution(n)).entropy
             for theta in thetas:

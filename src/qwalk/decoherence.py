@@ -31,7 +31,8 @@ from ``SeedSequence(entropy=seed, spawn_key=(r,))``, so results do not
 depend on evaluation order, and the mean is accumulated in increasing-r
 order.  One loop creates each chunk's streams and draws its noise once,
 then walks it at every theta of a sweep; an ensemble is the sweep at one
-theta, and price-path horizon h is realization h.
+theta, and price-path horizon h is realization h.  A noiseless run draws
+no stream: each mean is one unitary walk's own probabilities.
 
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coin import TWO_PI
-from .walk import InitialCoinState, PositionDistribution, propagate
+from .walk import InitialCoinState, PositionDistribution, _grid_probs, propagate
 
 __all__ = [
     "DecoherenceSpec",
@@ -92,10 +93,11 @@ class DecoherenceSpec:
 class EnsembleResult:
     """Averaged position distribution over stochastic realizations.
 
-    ``mean`` is renormalized to sum to exactly one; ``sem`` is the per-site
-    standard error of the mean (sample standard deviation over realizations
-    divided by sqrt(realizations), zero when realizations == 1 or the run is
-    deterministic).
+    ``mean`` is the realization mean renormalized to sum to exactly one, or
+    of a noiseless run the one unitary walk's probabilities as they stand;
+    ``sem`` is the per-site standard error of the mean (sample standard
+    deviation over realizations divided by sqrt(realizations), zero when
+    realizations == 1 or the run is noiseless).
     """
 
     mean: PositionDistribution
@@ -129,16 +131,19 @@ def run_ensemble(
       per-step random-phase oracle in ``tests/helpers.py``, bit for bit.
 
     The mean is accumulated over realizations in increasing order and
-    renormalized to sum to exactly one.  It is the theta sweep at ``theta``
-    alone; a sweep shares each chunk's streams and noise across theta and
-    gives every theta this result, bit for bit.
+    renormalized to sum to exactly one.  With p = 0, mode "none" or n = 0 no
+    stream is made, the mean is ``position_distribution(evolve(ic,
+    make_theta_coin(theta), n)).probs`` bit for bit, and the sem is 0.  It is
+    the theta sweep at ``theta`` alone; a sweep shares each chunk's streams
+    and noise across theta and gives every theta this result, bit for bit.
     """
     return _sweep(ic, [theta], spec, n, realizations, seed)[0]
 
 
 def _sweep(ic, thetas, spec, n, realizations, seed) -> list[EnsembleResult]:
     """:func:`run_ensemble` at each of ``thetas``, walking every chunk's
-    realizations at each theta from noise drawn once."""
+    realizations at each theta from noise drawn once; a noiseless sweep walks
+    the pairs (0, theta) in batches of ``_grid_probs``."""
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     if n < 0:
@@ -148,9 +153,9 @@ def _sweep(ic, thetas, spec, n, realizations, seed) -> list[EnsembleResult]:
     # zero disruption probability carries no stochasticity: one walk per theta,
     # with no random stream, is exactly the mean, and the standard error is 0
     if spec.mode == "none" or spec.p == 0.0 or n == 0:
-        walks = _chunk_walks(ic, thetas, DecoherenceSpec.none(), n, [None])
-        return [EnsembleResult(PositionDistribution(n=n, probs=p[0] / p[0].sum()),
-                               np.zeros(size)) for p in walks]
+        return [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
+                for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n)
+                for p in probs]
 
     acc, acc_sq = np.zeros((2, len(thetas), size))
     for _, walks in _chunks(ic, thetas, spec, n, realizations, seed):

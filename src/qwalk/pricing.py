@@ -89,7 +89,9 @@ class DiffusionScaler:
             return 1.0
         if self.mode == "inverse_sqrt":
             return 1.0 if t == 0.0 else t**-0.5
-        return float(np.interp(t, self.table_t, self.table_f))
+        # np.interp's slope is 0 over an overflowing span; halved times do not overflow
+        half = 0.5 if float(self.table_t[-1]) - float(self.table_t[0]) == math.inf else 1.0
+        return float(np.interp(half * t, half * self.table_t, self.table_f))
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,13 @@ class QwPriceModel:
     s0: float = 1.0
 
     def __post_init__(self):
-        if self.s0 <= 0:
+        if not self.s0 > 0:  # each check is written so that NaN fails it
             raise ValueError(f"s0 must be positive, got {self.s0}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if self.steps_per_horizon < 1:
             raise ValueError("steps_per_horizon must be >= 1")
-        if self.dt_per_step <= 0:
+        if not self.dt_per_step > 0:
             raise ValueError("dt_per_step must be positive")
         if not math.isfinite(self.horizon):
             raise ValueError("the horizon steps_per_horizon * dt_per_step must be finite")
@@ -246,7 +248,7 @@ def qw_price_path(
             j = int(rng.choice(sites, p=p / p.sum()))
             r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
             prices.append(prices[-1] * math.exp(r))
-            if not math.isfinite(prices[-1]):
+            if not 0.0 < prices[-1] < math.inf:  # overflowed, or underflowed to 0
                 raise ValueError(f"price at horizon {len(prices) - 1} is {prices[-1]}")
     return np.array(prices)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import CoinOperator
+from .coin import CoinAngles, CoinOperator, _su2_matrices
 
 __all__ = [
     "UP_IC",
@@ -39,6 +39,8 @@ __all__ = [
 
 #: tolerance for |a0|^2 + |b0|^2 = 1 on initial coin states
 IC_NORM_TOL = 1e-9
+#: walks per batched propagate call of :func:`_grid_probs`
+_GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -244,6 +246,20 @@ def _coin_operands(coins, n: int, full: bool):
         else:
             streams.append(entries[:, e])
     yield from zip(*streams)
+
+
+def _grid_probs(ic: InitialCoinState, pairs, n: int):
+    """Position probabilities, (B, 2n+1), of one walk per (xi, theta) pair,
+    zeta = 0, in order: one array per batched propagation of ``_GRID_CHUNK``
+    walks.  Row i is the :func:`position_distribution` of :func:`evolve` under
+    that pair's coin, bit for bit."""
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, _GRID_CHUNK)):
+        coins = _su2_matrices([CoinAngles(xi, theta, 0.0) for xi, theta in chunk])
+        a, b = propagate(ic.a0, ic.b0, coins, n)
+        probs = np.abs(a) ** 2 + np.abs(b) ** 2
+        del a, b  # freed before the next chunk propagates
+        yield probs
 
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:

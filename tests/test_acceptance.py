@@ -31,7 +31,6 @@ from helpers import (
     weak_limit_entropy,
     within_k_sem,
 )
-from qwalk import cli
 from qwalk.classical import (
     QuadratureSpec,
     StableParams,
@@ -51,6 +50,8 @@ from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
     InitialCoinState,
+    PositionDistribution,
+    _grid_probs,
     evolve,
     init_state,
     position_distribution,
@@ -74,8 +75,6 @@ def binned_tv(probs_a: np.ndarray, probs_b: np.ndarray, n: int) -> float:
     binomial walk; the site-wise distance would otherwise be dominated by
     interleaved zeros rather than by the shapes being compared.
     """
-    from qwalk.walk import PositionDistribution
-
     ha = aggregate_histogram(PositionDistribution(n=n, probs=probs_a), 2)
     hb = aggregate_histogram(PositionDistribution(n=n, probs=probs_b), 2)
     return float(0.5 * np.sum(np.abs(ha.masses - hb.masses)))
@@ -87,8 +86,9 @@ def heatmap_grid():
     skew = np.empty((64, 64))
     var = np.empty((64, 64))
     pairs = itertools.product(GRID, GRID)  # the walks the heatmap command runs
-    for k, dist in enumerate(cli._grid_distributions(SYMMETRIC_IC, pairs, 100)):
-        s = moments(dist)
+    rows = (p for probs in _grid_probs(SYMMETRIC_IC, pairs, 100) for p in probs)
+    for k, p in enumerate(rows):
+        s = moments(PositionDistribution(n=100, probs=p))
         skew.flat[k] = s.skewness
         var.flat[k] = s.variance / 100**2
     return skew, var

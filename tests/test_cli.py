@@ -31,7 +31,15 @@ from qwalk.classical import stable_pdf
 from qwalk.coin import CoinAngles, _su2_matrices, make_theta_coin
 from qwalk.decoherence import DecoherenceSpec, _phase_coins, realization_rng
 from qwalk.stats import moments
-from qwalk.walk import SYMMETRIC_IC, InitialCoinState, evolve, position_distribution, propagate
+from qwalk.walk import (
+    SYMMETRIC_IC,
+    InitialCoinState,
+    PositionDistribution,
+    _grid_probs,
+    evolve,
+    position_distribution,
+    propagate,
+)
 
 
 def make_cfg(doc, experiment=None):
@@ -550,7 +558,9 @@ def test_heatmap_chunk_statistics_equal_per_cell_moments(statistic, ic, theta):
         "eta": {"start": 0.0, "stop": 1.2, "count": 9}, "theta": theta}))
     _, n, _, _, initial = cfg.spec
     _, rows = cmd_heatmap(cfg)
-    dists = cli._grid_distributions(initial, [(eta, th) for eta, th, _ in rows], n)
+    pairs = [(eta, th) for eta, th, _ in rows]
+    dists = [PositionDistribution(n=n, probs=p) for probs in _grid_probs(initial, pairs, n)
+             for p in probs]
     want = []
     for dist in dists:
         s = moments(dist)
@@ -570,7 +580,7 @@ def test_distribution_equals_heatmap_cells_bitwise_for_complex_ic(n):
         {"label": f"c{i}", "n": n, "initial_state": ic, "coin": {"xi": eta, "theta": theta}}
         for i, (eta, theta) in enumerate(cells)]))
     _, rows = cmd_distribution(cfg)
-    want = cli._grid_probs(InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j), cells, n)
+    want = _grid_probs(InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j), cells, n)
     assert np.array([row[4] for row in rows]).tobytes() == np.concatenate(list(want)).tobytes()
 
 
@@ -591,6 +601,7 @@ def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
     # a subnormal f makes dx = 1 / (f * walk_std) infinite
     dict(PRICE_DOC["model"], scaler={"mode": "custom", "t": [0, 10], "f": [1e-320, 1e-320]}),
     dict(PRICE_DOC["model"], s0=1e308, mu=100.0),  # a price past the float range
+    dict(PRICE_DOC["model"], s0=1e-300, mu=-100.0),  # a price that underflows to 0
 ])
 def test_price_path_numerical_failures_exit_3(tmp_path, capsys, model):
     cfg_path = write_config(tmp_path, dict(PRICE_DOC, model=model))

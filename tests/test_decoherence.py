@@ -106,7 +106,7 @@ def test_norm_conserved_under_random_masks(theta, p, seed):
 def test_ensemble_p_zero_equals_unitary_exactly():
     result = run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.0), 30, 5, 9)
     unitary = position_distribution(evolve(SYMMETRIC_IC, make_theta_coin(THETA), 30))
-    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
+    assert np.array_equal(result.mean.probs, unitary.probs)
     assert np.all(result.sem == 0.0)
 
 
@@ -115,7 +115,7 @@ def test_ensemble_p_tilde_zero_equals_unitary_exactly():
         SYMMETRIC_IC, 0.8, DecoherenceSpec.random_phase(0.0), 30, 5, 9
     )
     unitary = position_distribution(evolve(SYMMETRIC_IC, make_theta_coin(0.8), 30))
-    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
+    assert np.array_equal(result.mean.probs, unitary.probs)
 
 
 def test_noiseless_ensemble_creates_no_stream(monkeypatch):
@@ -127,8 +127,28 @@ def test_noiseless_ensemble_creates_no_stream(monkeypatch):
     unitary = position_distribution(evolve(ic, make_theta_coin(THETA), n))
     # seed -1 is no valid SeedSequence entropy, so a stream would also raise
     result = run_ensemble(ic, THETA, DecoherenceSpec.broken_links(0.0), n, 300, seed=-1)
-    assert np.array_equal(result.mean.probs, unitary.probs / unitary.total())
+    assert np.array_equal(result.mean.probs, unitary.probs)
     assert np.all(result.sem == 0.0)
+
+
+def test_noiseless_sweep_equals_the_unitary_walks_bitwise(monkeypatch):
+    def no_rng(seed, r):
+        raise AssertionError("a noiseless sweep created a random stream")
+
+    monkeypatch.setattr(decoherence, "realization_rng", no_rng)
+    ic = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)
+    # 136 thetas span three batches of the grid walker; six lie outside [0, pi)
+    thetas = [*np.linspace(0.0, 3.1, 130), -0.3, 4.0, 7.5, 1e6, math.pi, -math.pi / 4]
+    specs = [DecoherenceSpec.none(), DecoherenceSpec.broken_links(0.0),
+             DecoherenceSpec.random_phase(0.0)]
+    for n in (0, 1, 17):
+        want = [position_distribution(evolve(ic, make_theta_coin(t), n)).probs for t in thetas]
+        for spec in specs:
+            results = decoherence._sweep(ic, thetas, spec, n, 300, seed=-1)
+            assert len(results) == len(thetas)
+            for result, probs in zip(results, want):
+                assert result.mean.probs.tobytes() == probs.tobytes()
+                assert np.all(result.sem == 0.0)
 
 
 def test_ensemble_mode_none_has_no_stochasticity():

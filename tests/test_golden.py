@@ -5,9 +5,10 @@ Each config in ``scripts/configs/`` runs in-process through ``cli.run`` with
 digests were recorded before the coin-and-shift kernel was batched; a
 refactor that changes any byte of any output fails here.
 
-The heatmap commands take no realizations, so the two heatmap digests are
-the full-scale outputs; ``heatmap_skewness`` equals the seed-0 digest of
-the ``grid_sweep`` benchmark workload in ``perfbench/digests.json``.
+The heatmap commands take no realizations and the price path ignores them,
+so those digests are the full-scale outputs; ``heatmap_skewness`` and
+``price_path`` equal the seed-0 digests of the benchmark workloads in
+``perfbench/digests.json``, which a test here reads.
 
 ``VARIANTS`` are bundled configs with a few keys changed, covering paths
 that no bundled config reaches: a random-phase price path and broken-link
@@ -31,7 +32,8 @@ import pytest
 
 from qwalk.cli import run
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "scripts" / "configs"
 
 GOLDEN = {
     "compare_returns": "6d31f7eb7ab9d04092a74895628b6185c226b3ad664e2af79b3b8daff011cf6c",
@@ -119,6 +121,13 @@ def _with_changes(doc, changes):
 def test_every_bundled_config_has_a_golden_digest():
     assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(GOLDEN)
     assert sorted(META) == sorted([*GOLDEN, *VARIANTS])
+
+
+def test_full_scale_goldens_equal_the_benchmark_digests():
+    bench = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    assert GOLDEN["heatmap_skewness"] == bench["grid_sweep"]["heatmap_skewness"]["heatmap.csv"]
+    price = bench["ensemble_pipeline"]["price_path"]["price_path.csv"]
+    assert GOLDEN["price_path"] == price
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import replay_walk
 from qwalk import decoherence, pricing
-from qwalk.classical import GbmParams, gbm_path
+from qwalk.classical import GbmParams, StableParams, gbm_path
 from qwalk.coin import CoinAngles
 from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.pricing import (
@@ -63,6 +63,30 @@ def test_custom_scaler_order_check_spans_the_float_range_silently():
         with pytest.raises(ValueError, match="increasing"):
             DiffusionScaler.custom([1e308, -1e308], [1.0, 2.0])
     assert wide.value(1e308) == 2.0
+
+
+def test_custom_scaler_keeps_the_slope_of_an_overflowing_span():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = DiffusionScaler.custom([-1e308, 1e308], [1.0, 2.0])
+        assert [wide.value(t) for t in (0.0, 5e307, 1e308)] == [1.5, 1.75, 2.0]
+    # a table whose span is finite keeps np.interp's values, bit for bit
+    t, f = [0.0, 0.3, 1e307, 1.5e308], [1.0, 0.7, 3.0, 2.0]
+    table = DiffusionScaler.custom(t, f)
+    for x in (0.0, 0.1, 0.29, 0.3, 2.2, 1e300, 1e307, 1.2e308, 1.5e308, 1.7e308):
+        assert table.value(x) == float(np.interp(x, t, f))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: StableParams(1.5, 0.0, math.nan), "scale c must be positive"),
+    (lambda: GbmParams(0.0, math.nan), "sigma must be non-negative"),
+    (lambda: GbmParams(0.0, 0.2, math.nan), "s0 must be positive"),
+    (lambda: model_with(sigma=math.nan), "sigma must be non-negative"),
+    (lambda: model_with(s0=math.nan), "s0 must be positive"),
+], ids=["stable_c", "gbm_sigma", "gbm_s0", "model_sigma", "model_s0"])
+def test_nan_fails_the_range_checks(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_model_validation():
@@ -219,6 +243,12 @@ def test_price_path_rejects_non_finite_lattice_scale_and_prices():
     # a drift of e per horizon takes the first price past the float range
     with pytest.raises(ValueError, match="price at horizon 1 is inf"):
         qw_price_path(model_with(s0=1e308, mu=100.0), total_steps=3, seed=0)
+
+
+def test_price_path_rejects_a_price_that_underflows_to_zero():
+    # a drift of -100 per horizon takes 1e-300 below the smallest subnormal
+    with pytest.raises(ValueError, match="price at horizon 1 is 0.0"):
+        qw_price_path(model_with(s0=1e-300, mu=-100.0), total_steps=3, seed=0)
 
 
 def test_unitary_price_path_walks_once(monkeypatch):
