@@ -11,10 +11,8 @@ from .walk import (
     PositionDistribution,
     WalkState,
     evolve,
-    init_state,
     position_distribution,
     propagate,
-    step_unitary,
 )
 from .decoherence import DecoherenceSpec, EnsembleResult, realization_rng, run_ensemble
 from .stats import (

@@ -182,8 +182,8 @@ def stable_cf(t, params: StableParams):
 
 def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
     """Normal density."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:  # so that NaN fails too
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     z = (x - mu) / sigma
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 

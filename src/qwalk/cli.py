@@ -243,7 +243,9 @@ def _parse_mode(doc, path: str, cls, modes: dict, parse_arg):
 def _parse_range(doc, path: str, count_key: str = "count",
                  _angle: bool = False) -> tuple[float, float, int]:
     """(start, stop, count) of an inclusive grid; ``_angle`` ranges must also
-    lie within [0, pi/2]."""
+    lie within [0, pi/2].  Every span and every sum of two grid points stays
+    within 2 max(|start|, |stop|), so its finiteness keeps both from
+    overflowing."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object {start, stop, count}")
     _require_keys(doc, path, required=("start", "stop", count_key))
@@ -252,6 +254,9 @@ def _parse_range(doc, path: str, count_key: str = "count",
     count = _integer(doc, count_key, path, lo=2)
     if stop <= start:
         raise ConfigError(_join(path, "stop"), "must exceed start")
+    if not math.isfinite(2.0 * max(abs(start), abs(stop))):
+        raise ConfigError(path, "|start| and |stop| must not exceed 8.9e307, so that "
+                          "the span and midpoints stay finite")
     if _angle and not 0.0 <= start < stop <= math.pi / 2 + 1e-12:
         raise ConfigError(path, "range must satisfy 0 <= start < stop <= pi/2")
     return start, stop, count

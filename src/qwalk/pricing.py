@@ -63,6 +63,8 @@ class DiffusionScaler:
             f = np.asarray(self.table_f, dtype=float)
             if t.ndim != 1 or t.shape != f.shape or len(t) < 2:
                 raise ValueError("custom scaler needs matching 1-d t and f tables")
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):  # NaN fails too
+                raise ValueError("custom scaler tables must be finite")
             if np.any(t[1:] <= t[:-1]):  # np.diff would overflow on a +-1e308 span
                 raise ValueError("custom scaler times must be strictly increasing")
             if np.any(f <= 0):
@@ -83,7 +85,7 @@ class DiffusionScaler:
         return cls("custom", table_t=np.asarray(t, float), table_f=np.asarray(f, float))
 
     def value(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"scaler time must be non-negative, got {t}")
         if self.mode == "unit":
             return 1.0
@@ -171,6 +173,12 @@ def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
     return dx
 
 
+def _check_lattice_scale(dx: float | None):
+    """An explicit lattice scale must be positive and finite (NaN fails)."""
+    if dx is not None and not 0.0 < dx < math.inf:
+        raise ValueError(f"lattice scale must be positive and finite, got {dx}")
+
+
 def prenormalized_return_distribution(
     model: QwPriceModel,
     seed: int,
@@ -184,6 +192,7 @@ def prenormalized_return_distribution(
     standard deviation equals sigma; passing an explicit dx keeps the
     mapping fixed, exposing the scaler's n-dependence (return std then
     scales like sigma * f(horizon) * dx * walk_std(n))."""
+    _check_lattice_scale(lattice_scale)
     dist = _model_distribution(model, seed, realizations)
     calibrated = _lattice_scale(model, dist)  # rejects a zero-variance walk either way
     dx = calibrated if lattice_scale is None else lattice_scale
@@ -226,6 +235,7 @@ def qw_price_path(
     """
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    _check_lattice_scale(lattice_scale)
     # a unitary walk is the same every horizon: walked once, it also calibrates
     unitary = _model_distribution(model, seed, 1) if model.decoherence.mode == "none" else None
     if lattice_scale is None:
@@ -263,8 +273,8 @@ def normalized_returns(prices: np.ndarray, delta_t: int) -> np.ndarray:
         raise ValueError(f"delta_t must be >= 1, got {delta_t}")
     if len(prices) <= delta_t:
         raise ValueError("price series shorter than the return horizon")
-    if np.any(prices <= 0):
-        raise ValueError("prices must be strictly positive")
+    if not np.all((prices > 0) & (prices < math.inf)):  # so that NaN fails too
+        raise ValueError("prices must be strictly positive and finite")
     log_p = np.log(prices)
     raw = log_p[delta_t:] - log_p[:-delta_t]
     std = float(np.std(raw))

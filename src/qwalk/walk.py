@@ -8,9 +8,10 @@ up output one site right and the down output one site left:
     a_j(n+1) = C00 a_{j-1}(n) + C01 b_{j-1}(n)
     b_j(n+1) = C10 a_{j+1}(n) + C11 b_{j+1}(n)
 
-This site recurrence is the single source of truth for the dynamics; the
-equivalent composition "shift after coin" as one global operator is
-exercised only as an independent oracle in the test suite.
+:func:`propagate` is the one implementation of this step in the package;
+every walk runs on it.  The per-step form above, and the equivalent
+composition "shift after coin" as one global operator, live in the test
+suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "InitialCoinState",
     "WalkState",
     "PositionDistribution",
-    "init_state",
-    "step_unitary",
     "propagate",
     "evolve",
     "position_distribution",
@@ -89,23 +88,6 @@ class WalkState:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def site_index(self, j: int) -> int:
-        return j + self.n
-
-    def amplitude(self, j: int) -> tuple[complex, complex]:
-        i = self.site_index(j)
-        if not 0 <= i < len(self.a):
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        return complex(self.a[i]), complex(self.b[i])
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.a) ** 2 + np.abs(self.b) ** 2))
-
-    @property
-    def sites(self) -> np.ndarray:
-        """Integer site labels [-n, ..., +n]."""
-        return np.arange(-self.n, self.n + 1)
-
 
 @dataclass(frozen=True)
 class PositionDistribution:
@@ -137,31 +119,16 @@ class PositionDistribution:
         return float(np.sum(self.probs))
 
 
-def init_state(ic: InitialCoinState) -> WalkState:
-    """Localize the walker at site 0 with coin state ``ic`` (n = 0)."""
-    return WalkState(n=0, a=np.array([ic.a0], dtype=complex), b=np.array([ic.b0], dtype=complex))
-
-
-def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
-    """Advance the walk one step with the given coin; support grows by one
-    site on each side and the norm is conserved exactly up to rounding."""
-    c = coin.matrix
-    size = len(state.a) + 2
-    a_next = np.zeros(size, dtype=complex)
-    b_next = np.zeros(size, dtype=complex)
-    a_next[2:] = c[0, 0] * state.a + c[0, 1] * state.b
-    b_next[:-2] = c[1, 0] * state.a + c[1, 1] * state.b
-    return WalkState(n=state.n + 1, a=a_next, b=b_next)
-
-
 def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarray]:
     """Advance B walks started at site 0 by ``n`` coin-and-shift steps at once.
 
     ``a0``, ``b0``: initial coin amplitudes, scalars or shape (B,).  ``coins``:
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
-    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n.  Step k reads only
-    the k+1 occupied sites -k, -k+2, ..., k, held contiguously, and the sites
-    of the other parity stay 0; per site it is :func:`step_unitary`, bit for bit.
+    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n; a negative ``n``
+    is a ``ValueError``.  Step k reads only the k+1 occupied sites -k, -k+2,
+    ..., k, held contiguously, and the sites of the other parity stay 0; per
+    site it is the per-step oracle ``step_unitary`` in ``tests/helpers.py``,
+    bit for bit.
 
     Each coin entry reaches numpy in the form it streams fastest, with the
     same products: a scalar when every walk shares it at every step, a
@@ -175,6 +142,8 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.  Such
     walks fill both parities, so their step k reads the whole support [-k, k].
     """
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
         raise ValueError(f"coins must be (B, 2, 2) or (n, B, 2, 2), got {coins.shape}")
@@ -264,8 +233,6 @@ def _grid_probs(ic: InitialCoinState, pairs, n: int):
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:
     """Apply ``n`` coin-and-shift steps to the walker started at the origin."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
     a, b = propagate(ic.a0, ic.b0, coin.matrix[None], n)
     return WalkState(n=n, a=a[0], b=b[0])
 

@@ -12,10 +12,13 @@ from the averaged channel on the density matrix.  Both use numpy only and
 neither uses the package's site recurrence; ``test_oracles`` checks them
 against known results.
 
-Last come the per-step oracles that the batched stochastic engines must
-equal bit for bit: ``step_broken_links`` under a ``LinkMask``, and
-``sample_random_phase_coin`` for ``step_unitary``, chained by ``replay_walk``.
-Only the tests call them, since the package runs every walk on ``propagate``.
+Last come the per-step oracles that ``qwalk.walk.propagate``, the package's
+one coin-and-shift kernel, must equal bit for bit: ``step_unitary`` from
+``init_state``, ``step_broken_links`` under a ``LinkMask``, and
+``sample_random_phase_coin`` for ``step_unitary``, chained by ``replay_walk``;
+with them the ``WalkState`` readers ``site_index``, ``amplitude``, ``norm``
+and ``sites``.  Only the tests call them, since the package runs every walk
+on ``propagate``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qwalk.coin import TWO_PI, CoinOperator
-from qwalk.walk import WalkState, init_state, position_distribution, step_unitary
+from qwalk.walk import InitialCoinState, WalkState, position_distribution
 
 
 def brute_force_amplitudes(a0, b0, coin: np.ndarray, n: int):
@@ -302,6 +305,51 @@ def random_phase_exact_mean(a0, b0, theta: float, p_tilde: float, n: int) -> np.
     for probs in random_phase_channel_steps(a0, b0, theta, p_tilde, n):
         pass
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Per-step oracles
+# ---------------------------------------------------------------------------
+
+
+def init_state(ic: InitialCoinState) -> WalkState:
+    """Localize the walker at site 0 with coin state ``ic`` (n = 0)."""
+    return WalkState(n=0, a=np.array([ic.a0], dtype=complex), b=np.array([ic.b0], dtype=complex))
+
+
+def step_unitary(state: WalkState, coin: CoinOperator) -> WalkState:
+    """Advance the walk one step with the given coin; support grows by one
+    site on each side and the norm is conserved exactly up to rounding."""
+    c = coin.matrix
+    size = len(state.a) + 2
+    a_next = np.zeros(size, dtype=complex)
+    b_next = np.zeros(size, dtype=complex)
+    a_next[2:] = c[0, 0] * state.a + c[0, 1] * state.b
+    b_next[:-2] = c[1, 0] * state.a + c[1, 1] * state.b
+    return WalkState(n=state.n + 1, a=a_next, b=b_next)
+
+
+def site_index(state: WalkState, j: int) -> int:
+    """Index of site j in ``state.a`` and ``state.b``."""
+    return j + state.n
+
+
+def amplitude(state: WalkState, j: int) -> tuple[complex, complex]:
+    """(a_j, b_j), or zeros for a site outside [-n, n]."""
+    i = site_index(state, j)
+    if not 0 <= i < len(state.a):
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    return complex(state.a[i]), complex(state.b[i])
+
+
+def norm(state: WalkState) -> float:
+    """Total probability sum_j |a_j|^2 + |b_j|^2."""
+    return float(np.sum(np.abs(state.a) ** 2 + np.abs(state.b) ** 2))
+
+
+def sites(state: WalkState) -> np.ndarray:
+    """Integer site labels [-n, ..., +n]."""
+    return np.arange(-state.n, state.n + 1)
 
 
 class LinkMask(NamedTuple):

@@ -13,10 +13,10 @@ PUBLIC = [
     "QuadratureError", "QuadratureSpec", "QwPriceModel", "ReturnDistribution", "SYMMETRIC_IC",
     "StableParams", "SummaryStats", "UP_IC", "WalkState", "aggregate_histogram",
     "classical_rw_distribution", "evolve", "gaussian_pdf", "gbm_path", "gbm_terminal_samples",
-    "init_state", "make_su2_coin", "make_theta_coin", "moments", "normalize_to_reference",
+    "make_su2_coin", "make_theta_coin", "moments", "normalize_to_reference",
     "normalized_returns", "position_distribution", "prenormalized_return_distribution",
     "propagate", "qw_price_path", "qw_return_distribution", "realization_rng", "run_ensemble",
-    "stable_cf", "stable_pdf", "step_unitary", "total_variation",
+    "stable_cf", "stable_pdf", "total_variation",
 ]
 
 

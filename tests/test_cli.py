@@ -6,6 +6,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,9 @@ GRID = HEATMAP_DOC["grid"]
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], dt_per_step=1e308,
                                 scaler={"mode": "inverse_sqrt"})), "model"),
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], dt_per_step=1e307)), "horizons"),
+    # an axis whose span, or whose bin midpoints, pass the float range
+    (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], start=-1e308, stop=1e308)), "axis"),
+    (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], start=1e308, stop=1.7e308)), "axis"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -483,9 +487,19 @@ def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, p
     cfg_path = write_config(tmp_path, doc)
     argv = [doc["experiment"].replace("_", "-"), "--config", str(cfg_path),
             "--out", str(tmp_path / "o")]
-    assert run(argv) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning reaches the user
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {path}: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_widest_accepted_axis_has_finite_midpoints():
+    axis = dict(COMPARE_DOC["axis"], start=-8.9e307, stop=8.9e307)
+    start, stop, bins = make_cfg(dict(COMPARE_DOC, axis=axis)).spec[2]
+    edges = np.linspace(start, stop, bins + 1)
+    assert np.all(np.isfinite(edges[:-1] + edges[1:]))
 
 
 def test_memory_ceiling_names_the_field_that_drives_the_table(monkeypatch):

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     LinkMask,
+    amplitude,
     binomial_probs,
     entropy_nats,
+    init_state,
+    norm,
     random_ic,
     replay_walk,
+    site_index,
     step_broken_links,
+    step_unitary,
 )
 from qwalk import decoherence
 from qwalk.cli import cmd_entropy, parse_config
@@ -23,9 +28,7 @@ from qwalk.walk import (
     UP_IC,
     InitialCoinState,
     evolve,
-    init_state,
     position_distribution,
-    step_unitary,
 )
 
 THETA = math.pi / 4
@@ -61,8 +64,8 @@ def test_all_links_broken_applies_both_broken_rule():
     ct, st_ = math.cos(THETA), math.sin(THETA)
     a_expected = st_ * 0.6 - ct * 0.8j
     b_expected = ct * 0.6 + st_ * 0.8j
-    assert stepped.amplitude(0) == (pytest.approx(a_expected), pytest.approx(b_expected))
-    assert abs(stepped.norm() - 1.0) < 1e-12
+    assert amplitude(stepped, 0) == (pytest.approx(a_expected), pytest.approx(b_expected))
+    assert abs(norm(stepped) - 1.0) < 1e-12
 
 
 def test_right_broken_link_hand_example():
@@ -72,12 +75,12 @@ def test_right_broken_link_hand_example():
     state = init_state(UP_IC)
     mask = LinkMask(np.array([False, True]), lo=-1)
     stepped = step_broken_links(state, THETA, mask)
-    assert stepped.amplitude(0)[1] == pytest.approx(math.cos(THETA))
-    assert stepped.amplitude(-1)[1] == pytest.approx(math.sin(THETA))
-    assert stepped.amplitude(1) == (0.0, 0.0)
+    assert amplitude(stepped, 0)[1] == pytest.approx(math.cos(THETA))
+    assert amplitude(stepped, -1)[1] == pytest.approx(math.sin(THETA))
+    assert amplitude(stepped, 1) == (0.0, 0.0)
     dist = position_distribution(stepped)
-    assert dist.probs[stepped.site_index(0)] == pytest.approx(0.5)
-    assert dist.probs[stepped.site_index(-1)] == pytest.approx(0.5)
+    assert dist.probs[site_index(stepped, 0)] == pytest.approx(0.5)
+    assert dist.probs[site_index(stepped, -1)] == pytest.approx(0.5)
 
 
 def test_mask_shape_validated():
@@ -100,7 +103,7 @@ def test_norm_conserved_under_random_masks(theta, p, seed):
     state = init_state(InitialCoinState(a0, b0))
     for _ in range(25):
         state = step_broken_links(state, theta, LinkMask.sample(state.n, p, rng))
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(norm(state) - 1.0) < 1e-12
 
 
 def test_ensemble_p_zero_equals_unitary_exactly():

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from helpers import (
+    init_state,
     konno_bias,
     konno_density,
     konno_moments,
@@ -19,6 +20,7 @@ from helpers import (
     random_phase_channel_steps,
     random_phase_exact_mean,
     skewness_from_moments,
+    step_unitary,
     weak_limit_entropy,
     weak_limit_moments,
     within_k_sem,
@@ -29,9 +31,7 @@ from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
     InitialCoinState,
-    init_state,
     position_distribution,
-    step_unitary,
 )
 
 THETAS = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 1.5)

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import replay_walk
 from qwalk import decoherence, pricing
-from qwalk.classical import GbmParams, StableParams, gbm_path
+from qwalk.classical import GbmParams, StableParams, gaussian_pdf, gbm_path
 from qwalk.coin import CoinAngles
 from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.pricing import (
@@ -83,7 +83,16 @@ def test_custom_scaler_keeps_the_slope_of_an_overflowing_span():
     (lambda: GbmParams(0.0, 0.2, math.nan), "s0 must be positive"),
     (lambda: model_with(sigma=math.nan), "sigma must be non-negative"),
     (lambda: model_with(s0=math.nan), "s0 must be positive"),
-], ids=["stable_c", "gbm_sigma", "gbm_s0", "model_sigma", "model_s0"])
+    (lambda: DiffusionScaler.custom([0, 1], [1, math.nan]), "tables must be finite"),
+    (lambda: DiffusionScaler.custom([0, math.nan], [1, 2]), "tables must be finite"),
+    (lambda: DiffusionScaler.custom([0, 1], [1, math.inf]), "tables must be finite"),
+    (lambda: DiffusionScaler.custom([0, math.inf], [1, 2]), "tables must be finite"),
+    (lambda: DiffusionScaler.unit().value(math.nan), "scaler time must be non-negative"),
+    (lambda: gaussian_pdf(0, 0, math.nan), "sigma must be positive"),
+    (lambda: gaussian_pdf(0, 0, math.inf), "sigma must be positive and finite"),
+], ids=["stable_c", "gbm_sigma", "gbm_s0", "model_sigma", "model_s0", "scaler_f_nan",
+        "scaler_t_nan", "scaler_f_inf", "scaler_t_inf", "scaler_time_nan", "gaussian_sigma_nan",
+        "gaussian_sigma_inf"])
 def test_nan_fails_the_range_checks(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -243,6 +252,22 @@ def test_price_path_rejects_non_finite_lattice_scale_and_prices():
     # a drift of e per horizon takes the first price past the float range
     with pytest.raises(ValueError, match="price at horizon 1 is inf"):
         qw_price_path(model_with(s0=1e308, mu=100.0), total_steps=3, seed=0)
+
+
+@pytest.mark.parametrize("dx", [math.nan, math.inf, 0.0, -1.0])
+def test_explicit_lattice_scale_must_be_positive_and_finite(dx):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lattice scale must be positive and finite"):
+            prenormalized_return_distribution(model_with(), 0, 1, lattice_scale=dx)
+        with pytest.raises(ValueError, match="lattice scale must be positive and finite"):
+            qw_price_path(model_with(), total_steps=3, seed=0, lattice_scale=dx)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_normalized_returns_reject_a_non_finite_or_non_positive_price(bad):
+    with pytest.raises(ValueError, match="prices must be strictly positive"):
+        normalized_returns([1.0, 2.0, bad, 3.0, 1.5], 1)
 
 
 def test_price_path_rejects_a_price_that_underflows_to_zero():

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_amplitudes, operator_matrix_evolve, random_ic
+from helpers import (
+    amplitude,
+    brute_force_amplitudes,
+    init_state,
+    norm,
+    operator_matrix_evolve,
+    random_ic,
+    sites,
+    step_unitary,
+)
 from qwalk.coin import CoinAngles, make_su2_coin, make_theta_coin
 from qwalk.stats import moments
 from qwalk.walk import (
@@ -14,10 +23,8 @@ from qwalk.walk import (
     UP_IC,
     InitialCoinState,
     evolve,
-    init_state,
     position_distribution,
     propagate,
-    step_unitary,
 )
 
 HADAMARD = make_theta_coin(math.pi / 4)
@@ -54,8 +61,8 @@ def test_init_state_rejects_nan_amplitude(a0):
 def test_single_hadamard_step():
     state = step_unitary(init_state(UP_IC), HADAMARD)
     r = 1 / math.sqrt(2)
-    assert state.amplitude(1)[0] == pytest.approx(r)
-    assert state.amplitude(-1)[1] == pytest.approx(r)
+    assert amplitude(state, 1)[0] == pytest.approx(r)
+    assert amplitude(state, -1)[1] == pytest.approx(r)
     dist = position_distribution(state)
     np.testing.assert_allclose(dist.probs, [0.5, 0.0, 0.5], atol=1e-15)
 
@@ -84,7 +91,7 @@ def test_theta_zero_walk_is_ballistic():
 def test_evolve_zero_steps_is_identity():
     state = evolve(SYMMETRIC_IC, HADAMARD, 0)
     assert state.n == 0
-    assert state.amplitude(0) == (SYMMETRIC_IC.a0, SYMMETRIC_IC.b0)
+    assert amplitude(state, 0) == (SYMMETRIC_IC.a0, SYMMETRIC_IC.b0)
     with pytest.raises(ValueError):
         evolve(SYMMETRIC_IC, HADAMARD, -1)
 
@@ -113,7 +120,7 @@ def test_norm_conserved_along_the_walk(xi, theta, zeta, seed):
     state = init_state(InitialCoinState(a0, b0))
     for _ in range(60):
         state = step_unitary(state, coin)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(norm(state) - 1.0) < 1e-12
 
 
 @given(xi=angle_st, theta=angle_st, zeta=angle_st, seed=seed_st)
@@ -122,7 +129,7 @@ def test_parity_sites_carry_no_amplitude(xi, theta, zeta, seed):
     coin = make_su2_coin(CoinAngles(xi, theta, zeta))
     a0, b0 = random_ic(np.random.default_rng(seed))
     state = evolve(InitialCoinState(a0, b0), coin, 17)
-    js = state.sites
+    js = sites(state)
     odd = (js + 17) % 2 == 1
     assert np.all(state.a[odd] == 0.0)
     assert np.all(state.b[odd] == 0.0)
@@ -178,7 +185,7 @@ def test_norm_holds_to_two_thousand_steps():
     coin = make_su2_coin(CoinAngles(0.9, 1.1, 0.3))
     for _ in range(2000):
         state = step_unitary(state, coin)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(norm(state) - 1.0) < 1e-12
 
 
 def _step_loop(ic, coin, n):
@@ -283,6 +290,14 @@ def test_propagate_matches_operator_matrix_oracle():
     a_op, b_op = operator_matrix_evolve(UP_IC.a0, UP_IC.b0, coin.matrix, 40)
     np.testing.assert_allclose(a[0], a_op, atol=1e-12, rtol=0)
     np.testing.assert_allclose(b[0], b_op, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_step_counts_are_rejected_by_propagate_and_evolve(n):
+    with pytest.raises(ValueError, match="step count must be non-negative"):
+        propagate(1.0, 0.0, HADAMARD.matrix[None], n)
+    with pytest.raises(ValueError, match="step count must be non-negative"):
+        evolve(UP_IC, HADAMARD, n)
 
 
 def test_propagate_rejects_bad_coin_shapes():
