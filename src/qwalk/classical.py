@@ -120,8 +120,8 @@ def gbm_terminal_samples(
 ) -> np.ndarray:
     """Exact terminal prices S(t) = s0 exp(sigma sqrt(t) Z + (mu - sigma^2/2) t)
     for ``count`` independent standard normal draws Z."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:  # so that NaN fails too
+        raise ValueError(f"time must be non-negative and finite, got {t}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -135,6 +135,8 @@ def gbm_path(params: GbmParams, n_steps: int, dt: float, seed: int) -> np.ndarra
     (no Euler discretization error)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 0 <= dt < math.inf:  # so that NaN fails too
+        raise ValueError(f"dt must be non-negative and finite, got {dt}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_steps)
     increments = params.sigma * math.sqrt(dt) * z + (params.mu - 0.5 * params.sigma**2) * dt
@@ -196,8 +198,10 @@ def stable_pdf(
     Negative quadrature residue is clamped to zero.  Raises
     :class:`QuadratureError` when the panel doubling does not converge or
     the truncation self-check (doubling the cutoff) moves the result by
-    more than the tolerance.
+    more than the tolerance.  A non-finite ``x`` is a ``ValueError``.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     t_cut = quad.cutoff(params)
     cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
     if cycles <= quad.max_direct_cycles:

@@ -1,15 +1,16 @@
 """Two-dimensional coin operators for the discrete-time quantum walk.
 
 The general coin is a 2x2 SU(2)-type unitary parameterized by three angles
-(xi, theta, zeta),
+(xi, theta, zeta), with c = cos(theta) and s = sin(theta),
 
-    [[ e^{+i xi}  cos(theta),  e^{+i zeta} sin(theta) ],
-     [ e^{-i zeta} sin(theta), -e^{-i xi}  cos(theta) ]],
+    [[ e^{+i xi} c,     e^{+i zeta} s ],
+     [ s / e^{+i zeta}, -e^{-i xi} c  ]],
 
 of which the real symmetric single-angle family (xi = zeta = 0) and the
 Hadamard coin (theta = pi/4) are special cases.  For walks started at the
 origin only eta = xi - zeta and theta affect the measured position
-distribution; see the gauge-invariance tests.
+distribution; see the gauge-invariance tests.  ``_coins`` writes every coin
+of the package, and checks and reduces its angles as ``CoinAngles`` does.
 """
 
 from __future__ import annotations
@@ -47,13 +48,8 @@ class CoinAngles:
     zeta: float
 
     def __post_init__(self):
-        for name in ("xi", "theta", "zeta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"coin angle {name!r} must be finite, got {v!r}")
-        object.__setattr__(self, "xi", float(self.xi) % TWO_PI)
-        object.__setattr__(self, "theta", float(self.theta) % math.pi)
-        object.__setattr__(self, "zeta", float(self.zeta) % TWO_PI)
+        for name, v in zip(("xi", "theta", "zeta"), _reduced(self.xi, self.theta, self.zeta)):
+            object.__setattr__(self, name, float(v))
 
     @property
     def eta(self) -> float:
@@ -83,36 +79,54 @@ class CoinOperator:
 
 def _check_unitary(m: np.ndarray):
     """Raise ValueError unless every 2x2 matrix of the (B, 2, 2) ``m`` is
-    unitary with unit-modulus determinant, to ``UNITARITY_TOL`` per entry."""
-    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max()
-    if dev > UNITARITY_TOL:
+    unitary with unit-modulus determinant, to ``UNITARITY_TOL`` per entry;
+    a NaN or infinite entry fails."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf entries make NaN here
+        dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(2)).max()
+        det_err = np.abs(np.abs(np.linalg.det(m)) - 1.0).max()
+    if not dev <= UNITARITY_TOL:  # written so that NaN fails
         raise ValueError(f"coin matrix is not unitary (deviation {dev:.3e})")
-    det_err = np.abs(np.abs(np.linalg.det(m)) - 1.0).max()
-    if det_err > UNITARITY_TOL:
+    if not det_err <= UNITARITY_TOL:
         raise ValueError(f"coin determinant modulus deviates by {det_err:.3e}")
 
 
-def _su2_matrices(angles, check: bool = True) -> np.ndarray:
-    """The (B, 2, 2) three-angle coin matrices of a sequence of ``CoinAngles``,
-    checked as ``CoinOperator`` checks one unless ``check`` is False."""
-    xi, zeta = np.array([(a.xi, a.zeta) for a in angles]).T
-    ct, st = np.array([(math.cos(a.theta), math.sin(a.theta)) for a in angles]).T
-    m = np.empty((len(ct), 2, 2), dtype=complex)
-    m[:, 0, 0], m[:, 0, 1] = np.exp(1j * xi) * ct, np.exp(1j * zeta) * st
-    m[:, 1, 0], m[:, 1, 1] = np.exp(-1j * zeta) * st, -np.exp(-1j * xi) * ct
-    if check:
-        _check_unitary(m)
-    return m
+def _reduced(xi, theta, zeta) -> list[np.ndarray]:
+    """The angles as floats reduced into xi, zeta in [0, 2*pi) and theta in
+    [0, pi); a non-finite angle is a ValueError."""
+    out = []
+    for name, v, period in (("xi", xi, TWO_PI), ("theta", theta, math.pi), ("zeta", zeta, TWO_PI)):
+        v = np.asarray(v, dtype=float) + 0.0  # -0.0 becomes 0.0, as np.mod makes it
+        if not ((v >= 0.0) & (v < period)).all():  # else the slow np.mod changes nothing
+            if not np.isfinite(v).all():
+                raise ValueError(f"coin angle {name!r} must be finite, got {v}")
+            # np.mod is Python's float % bit for bit; it rounds a tiny negative
+            # angle up to the period, which 0 replaces to keep the range half-open
+            v = np.mod(v, period)
+            v = np.where(v < period, v, 0.0)
+        out.append(v)
+    return out
+
+
+def _coins(xi, theta, zeta) -> np.ndarray:
+    """The coins of the module docstring for angles that are scalars or arrays
+    of shape (B,) or (n, B), broadcast together (B = 1 for scalars alone): a
+    (..., B, 2, 2) view of the sites-major (..., 2, 2, B) array that
+    :func:`qwalk.walk.propagate` streams."""
+    xi, theta, zeta = _reduced(xi, theta, zeta)
+    ct = np.array([math.cos(t) for t in theta.flat]).reshape(theta.shape)
+    st = np.array([math.sin(t) for t in theta.flat]).reshape(theta.shape)
+    phase = np.exp(1j * zeta)  # once, for both off-diagonal entries
+    *lead, walks = np.broadcast_shapes(xi.shape, theta.shape, zeta.shape, (1,))
+    m = np.empty((*lead, 2, 2, walks), dtype=complex)
+    m[..., 0, 0, :], m[..., 0, 1, :] = np.exp(1j * xi) * ct, st * phase
+    m[..., 1, 0, :], m[..., 1, 1, :] = st / phase, -np.exp(-1j * xi) * ct
+    return np.moveaxis(m, -1, -3)
 
 
 def make_su2_coin(angles: CoinAngles) -> CoinOperator:
-    """Build the three-angle coin operator for the given ``CoinAngles``.
-
-    Returns the matrix
-    ``[[e^{i xi} cos(theta), e^{i zeta} sin(theta)],
-    [e^{-i zeta} sin(theta), -e^{-i xi} cos(theta)]]``.
-    """
-    return CoinOperator(_su2_matrices([angles], check=False)[0])  # CoinOperator checks it
+    """Build the three-angle coin operator of the module docstring for the
+    given ``CoinAngles``."""
+    return CoinOperator(_coins(angles.xi, angles.theta, angles.zeta)[0])
 
 
 def make_theta_coin(theta: float) -> CoinOperator:

@@ -15,11 +15,9 @@ Two mechanisms are implemented:
 * random phase -- at each step, with probability p_tilde the coin's
   off-diagonal phase zeta is redrawn uniformly from [0, 2*pi) (one global
   coin per step, applied at every site), destroying interference between
-  paths while keeping each realization unitary.  The coin of a step,
-
-      [[c, s e^{i zeta}], [s / e^{i zeta}, -c]],   c = cos(t), s = sin(t),
-
-  is written by ``_phase_coins`` alone, for ensembles and price paths.
+  paths while keeping each realization unitary.  The coin of a step is the
+  coin of :mod:`qwalk.coin` at (0, theta, zeta), built by ``coin._coins``
+  as every coin is: a non-finite theta fails there in every engine.
 
 Both mechanisms are restricted to the single-angle coin family.  Other
 mechanisms from the literature (per-step coin measurement, complete positive
@@ -40,12 +38,11 @@ equal bit for bit, live with the tests in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import TWO_PI
+from .coin import TWO_PI, _coins
 from .walk import InitialCoinState, PositionDistribution, _grid_probs, propagate
 
 __all__ = [
@@ -186,35 +183,17 @@ def _chunk_walks(ic, thetas, spec, n, rngs):
     of ``thetas`` in turn, of one walk per generator, whose noise ("none" has
     none) is drawn before the first theta.  The noise lives here alone, so it
     goes when this finishes or is dropped, before the next chunk's is drawn."""
-    zetas, broken = np.zeros((len(rngs), 1)), None  # one real coin for every step
+    zetas, broken = np.zeros(len(rngs)), None  # per walk: one real coin for every step
     if spec.mode == "broken_links":
         broken = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
         for mask, rng in zip(broken, rngs):
             np.less(rng.random((n, 2 * n + 2)), spec.p, out=mask)
     elif spec.mode == "random_phase":
         draws = np.array([rng.random((n, 2)) for rng in rngs])
-        zetas = np.where(draws[:, :, 0] < spec.p, TWO_PI * draws[:, :, 1], 0.0)
+        zetas = np.where(draws[:, :, 0] < spec.p, TWO_PI * draws[:, :, 1], 0.0).T  # (n, B)
         del draws  # the phases alone are walked
-    for theta in thetas:
-        yield _walk_probs(ic, theta, zetas, n, broken)
-
-
-def _walk_probs(ic, theta, zetas, n, broken):
-    """Position probabilities under ``_phase_coins(theta, zetas)``, one coin
-    for every step if ``zetas`` has one column; a function of its own so one
-    theta's coins and amplitudes are freed before the next theta's are built."""
-    coins = _phase_coins(theta, zetas)
-    a, b = propagate(ic.a0, ic.b0, coins if len(coins) == n else coins[0], n, broken=broken)
-    return np.abs(a) ** 2 + np.abs(b) ** 2
-
-
-def _phase_coins(theta, zetas):
-    """The coins [[c, s e^{i zeta}], [s / e^{i zeta}, -c]] for ``zetas`` of
-    shape (count, n): an (n, count, 2, 2) view of propagate's sites-major
-    (n, 2, 2, count) layout."""
-    phase = np.exp(1j * zetas.T)  # (n, count): the coin phase of step k
-    ct, st = math.cos(theta), math.sin(theta)
-    coins = np.empty((phase.shape[0], 2, 2, phase.shape[1]), dtype=complex)
-    coins[:, 0, 0], coins[:, 0, 1] = ct, st * phase
-    coins[:, 1, 0], coins[:, 1, 1] = st / phase, -ct
-    return coins.transpose(0, 3, 1, 2)
+    for theta in thetas:  # this theta's coins and amplitudes go before the next's come
+        a, b = propagate(ic.a0, ic.b0, _coins(0.0, theta, zetas), n, broken=broken)
+        probs = np.abs(a) ** 2 + np.abs(b) ** 2
+        del a, b
+        yield probs

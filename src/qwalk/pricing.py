@@ -115,8 +115,9 @@ class QwPriceModel:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.steps_per_horizon < 1:
-            raise ValueError("steps_per_horizon must be >= 1")
+        n = self.steps_per_horizon
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"steps_per_horizon must be an integer >= 1, got {n!r}")
         if not self.dt_per_step > 0:
             raise ValueError("dt_per_step must be positive")
         if not math.isfinite(self.horizon):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import CoinAngles, CoinOperator, _su2_matrices
+from .coin import CoinOperator, _check_unitary, _coins
 
 __all__ = [
     "UP_IC",
@@ -224,7 +224,8 @@ def _grid_probs(ic: InitialCoinState, pairs, n: int):
     that pair's coin, bit for bit."""
     pairs = iter(pairs)
     while chunk := list(itertools.islice(pairs, _GRID_CHUNK)):
-        coins = _su2_matrices([CoinAngles(xi, theta, 0.0) for xi, theta in chunk])
+        coins = _coins(*np.array(chunk, dtype=float).T, 0.0)  # xi, theta and zeta = 0
+        _check_unitary(coins)
         a, b = propagate(ic.a0, ic.b0, coins, n)
         probs = np.abs(a) ** 2 + np.abs(b) ** 2
         del a, b  # freed before the next chunk propagates

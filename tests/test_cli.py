@@ -29,8 +29,8 @@ from qwalk.cli import (
     write_outputs,
 )
 from qwalk.classical import stable_pdf
-from qwalk.coin import CoinAngles, _su2_matrices, make_theta_coin
-from qwalk.decoherence import DecoherenceSpec, _phase_coins, realization_rng
+from qwalk.coin import _coins, make_theta_coin
+from qwalk.decoherence import DecoherenceSpec, realization_rng
 from qwalk.stats import moments
 from qwalk.walk import (
     SYMMETRIC_IC,
@@ -544,10 +544,10 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         held, run = 0, lambda: list(chunk)
     else:
         if case == "broken_links":  # the engine's one real coin: no coin tiles
-            coins = _phase_coins(0.7, np.zeros((walks, 1)))[0]
+            coins = _coins(0.0, 0.7, np.zeros(walks))
         else:  # a coin per walk: four tiles as tall as the widest window
-            angles = rng.uniform(0, 1.5, (walks, 2))
-            coins = _su2_matrices([CoinAngles(x, t, 0.0) for x, t in angles])
+            xi, theta = rng.uniform(0, 1.5, (walks, 2)).T
+            coins = _coins(xi, theta, 0.0)
         broken = None if p is None else rng.random((walks, n, 2 * n + 2)) < p
         held = coins.nbytes + (0 if p is None else broken.nbytes)
         run = lambda: propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n, broken=broken)

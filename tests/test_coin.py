@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sample_random_phase_coin
-from qwalk import coin
+from qwalk import coin, walk
 from qwalk.coin import (
     CoinAngles,
     CoinOperator,
     _check_unitary,
-    _su2_matrices,
+    _coins,
     make_su2_coin,
     make_theta_coin,
 )
@@ -87,6 +88,11 @@ def test_angles_normalized_into_ranges():
     assert a.theta == pytest.approx(0.1)
     assert a.zeta == pytest.approx(2 * math.pi - 0.5)
     assert a.eta == pytest.approx((a.xi - a.zeta) % (2 * math.pi))
+    # Python's % rounds a tiny negative angle up to the period, which maps to 0,
+    # so the ranges stay half-open and the coin builder's reduction is a no-op
+    tiny = CoinAngles(-1e-300, -1e-300, -1e-300)
+    assert (tiny.xi, tiny.theta, tiny.zeta) == (0.0, 0.0, 0.0)
+    assert make_su2_coin(tiny).matrix.tobytes() == _coins(-1e-300, -1e-300, -1e-300)[0].tobytes()
 
 
 def test_non_finite_angles_rejected():
@@ -101,16 +107,27 @@ def test_non_unitary_matrix_rejected():
         CoinOperator(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex))
     with pytest.raises(ValueError, match="2x2"):
         CoinOperator(np.eye(3, dtype=complex))
+    # NaN deviations fail the checks too, and an infinite entry warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.full((2, 2), np.nan), [[math.inf, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="unitary"):
+                CoinOperator(bad)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(angles_st, angles_st, angles_st), min_size=1, max_size=70))
 def test_batched_coins_equal_single_coins_bitwise(triples):
-    angles = [CoinAngles(*t) for t in triples]
-    batch = _su2_matrices(angles)
-    assert batch.shape == (len(angles), 2, 2)
-    single = np.stack([make_su2_coin(a).matrix for a in angles])
+    xi, theta, zeta = np.array(triples).T
+    batch = _coins(xi, theta, zeta)
+    assert batch.shape == (len(triples), 2, 2)
+    single = np.stack([make_su2_coin(CoinAngles(*t)).matrix for t in triples])
     assert batch.tobytes() == single.tobytes()
+    # per step and walk: (n, B) angles give (n, B, 2, 2) coins, the same bytes
+    steps = _coins(np.stack([xi, xi[::-1]]), theta, zeta)
+    assert steps.shape == (2, len(triples), 2, 2)
+    assert steps[0].tobytes() == single.tobytes()
+    assert steps[1].tobytes() == _coins(xi[::-1], theta, zeta).tobytes()
 
 
 def test_batched_check_rejects_one_bad_matrix():
@@ -128,9 +145,12 @@ def test_su2_coin_is_checked_once(monkeypatch):
         return _check_unitary(m)
 
     monkeypatch.setattr(coin, "_check_unitary", counting_check)
+    monkeypatch.setattr(walk, "_check_unitary", counting_check)
     make_su2_coin(CoinAngles(0.3, 0.7, 1.1))
     assert calls == [(1, 2, 2)]
-    _su2_matrices([CoinAngles(0.3, 0.7, 1.1)] * 3)
+    _coins(0.3, 0.7, np.full((4, 3), 1.1))  # the builder checks nothing itself
+    assert calls == [(1, 2, 2)]
+    list(walk._grid_probs(walk.SYMMETRIC_IC, [(0.3, 0.7)] * 3, 4))  # one check a batch
     assert calls == [(1, 2, 2), (3, 2, 2)]
 
 

@@ -21,7 +21,7 @@ from helpers import (
 )
 from qwalk import decoherence
 from qwalk.cli import cmd_entropy, parse_config
-from qwalk.coin import TWO_PI, make_theta_coin
+from qwalk.coin import TWO_PI, CoinAngles, make_su2_coin, make_theta_coin
 from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.walk import (
     SYMMETRIC_IC,
@@ -29,6 +29,7 @@ from qwalk.walk import (
     InitialCoinState,
     evolve,
     position_distribution,
+    propagate,
 )
 
 THETA = math.pi / 4
@@ -276,6 +277,47 @@ def test_broken_links_spread_slower_than_unitary():
     unitary = position_distribution(evolve(SYMMETRIC_IC, make_theta_coin(THETA), n))
     var_unitary = float(np.sum(j**2 * unitary.probs))
     assert var_broken < 0.5 * var_unitary  # diffusive, not ballistic
+
+
+@pytest.mark.parametrize("spec", [
+    DecoherenceSpec.none(), DecoherenceSpec.broken_links(0.3), DecoherenceSpec.random_phase(0.3),
+], ids=["none", "broken_links", "random_phase"])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_every_engine_rejects_a_non_finite_theta(spec, theta):
+    with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
+        run_ensemble(SYMMETRIC_IC, theta, spec, 6, 3, seed=1)
+    with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
+        decoherence._sweep(SYMMETRIC_IC, [0.4, theta], spec, 6, 3, seed=1)
+
+
+class FixedPhaseRng:
+    """Feeds the random-phase engine (accept, phase) = (0, u0) at every step."""
+
+    def __init__(self, u0):
+        self.u0 = u0
+
+    def random(self, shape):
+        return np.stack(np.broadcast_arrays(0.0, np.full(shape[:-1], self.u0)), axis=-1)
+
+
+@pytest.mark.parametrize("ic", [SYMMETRIC_IC, InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)])
+def test_random_phase_engine_walks_the_su2_coin_bytes(ic, monkeypatch):
+    # u0 = 0.61: the two forms of the (1, 0) entry, e^{-i zeta} s and
+    # s / e^{i zeta}, round apart, so the coins must share one builder
+    theta, u0, n, walks = 1.1, 0.61, 9, 3
+    coin = make_su2_coin(CoinAngles(0.0, theta, TWO_PI * u0))
+    built, coins = [], decoherence._coins
+    monkeypatch.setattr(decoherence, "_coins", lambda *a: built.append(coins(*a)) or built[-1])
+    spec = DecoherenceSpec.random_phase(1.0)
+    (probs,) = decoherence._chunk_walks(ic, [theta], spec, n, [FixedPhaseRng(u0)] * walks)
+    (per_step,) = built
+    assert per_step.shape == (n, walks, 2, 2)
+    assert all(c.tobytes() == coin.matrix.tobytes() for c in per_step.reshape(-1, 2, 2))
+    # walked per step and walk, they are evolve under that one coin, bit for bit
+    want = evolve(ic, coin, n)
+    a, b = propagate(ic.a0, ic.b0, per_step, n)
+    assert all(np.array_equal(x, want.a) for x in a) and all(np.array_equal(x, want.b) for x in b)
+    assert all(np.array_equal(p, position_distribution(want).probs) for p in probs)
 
 
 def test_realization_count_validated():

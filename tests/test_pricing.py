@@ -6,7 +6,14 @@ import pytest
 
 from helpers import replay_walk
 from qwalk import decoherence, pricing
-from qwalk.classical import GbmParams, StableParams, gaussian_pdf, gbm_path
+from qwalk.classical import (
+    GbmParams,
+    StableParams,
+    gaussian_pdf,
+    gbm_path,
+    gbm_terminal_samples,
+    stable_pdf,
+)
 from qwalk.coin import CoinAngles
 from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
 from qwalk.pricing import (
@@ -90,12 +97,23 @@ def test_custom_scaler_keeps_the_slope_of_an_overflowing_span():
     (lambda: DiffusionScaler.unit().value(math.nan), "scaler time must be non-negative"),
     (lambda: gaussian_pdf(0, 0, math.nan), "sigma must be positive"),
     (lambda: gaussian_pdf(0, 0, math.inf), "sigma must be positive and finite"),
+    (lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), math.nan, 5, 0), "time must be non-neg"),
+    (lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), math.inf, 5, 0), "time must be non-neg"),
+    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, math.nan, 0), "dt must be non-negative"),
+    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, math.inf, 0), "dt must be non-negative"),
+    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, -1.0, 0), "dt must be non-negative"),
+    (lambda: stable_pdf(math.nan, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
+    (lambda: stable_pdf(math.inf, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
+    (lambda: stable_pdf(-math.inf, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
 ], ids=["stable_c", "gbm_sigma", "gbm_s0", "model_sigma", "model_s0", "scaler_f_nan",
         "scaler_t_nan", "scaler_f_inf", "scaler_t_inf", "scaler_time_nan", "gaussian_sigma_nan",
-        "gaussian_sigma_inf"])
+        "gaussian_sigma_inf", "gbm_time_nan", "gbm_time_inf", "gbm_dt_nan", "gbm_dt_inf",
+        "gbm_dt_negative", "stable_x_nan", "stable_x_inf", "stable_x_minus_inf"])
 def test_nan_fails_the_range_checks(make, match):
-    with pytest.raises(ValueError, match=match):
-        make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy warns
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 def test_model_validation():
@@ -103,6 +121,9 @@ def test_model_validation():
         model_with(s0=0.0)
     with pytest.raises(ValueError):
         model_with(steps_per_horizon=0)
+    for steps in (2.5, True):  # neither constructs: 2.5 failed later, True walked one step
+        with pytest.raises(ValueError, match="steps_per_horizon must be an integer"):
+            model_with(steps_per_horizon=steps)
     with pytest.raises(ValueError, match="finite"):
         model_with(dt_per_step=1e308)  # 100 steps overflow the horizon to inf
     # decoherent runs require the single-angle coin family

@@ -198,15 +198,16 @@ def _step_loop(ic, coin, n):
 #: an initial state with all four parts nonzero, whose products round
 GENERAL_IC = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)
 #: sha256 of a.tobytes() + b.tobytes() of its single walk under the coin
-#: below, which the test also checks against the step_unitary loop bit for bit
+#: below, which the test also checks against the step_unitary loop bit for bit;
+#: the coin's (1, 0) entry is s / e^{i zeta}, the form of every coin
 GENERAL_IC_SHA256 = {
     0: "26bffb925706f7029589a5602504687c041413dd554779d73e65fd976825a495",
-    1: "fe8ec42872c9558ef3dafb7f737034f37bfa5c1822dfbd0acbcb762679295d37",
-    2: "2db419700e7b7900b75c25ac5f839e344d2471371aa96bc4b4534b0c9bc64e04",
-    3: "7217326301695c59b7c06f05512f9f16b093e6da936ddb2ae308d98d0cff27f7",
-    7: "51cb9d71bcd4251e1413d1715aae141e408571d2a571b757492279b18a2d1f82",
-    8: "63d303faff590af31f06a517ea203992f59b54b0ccce19b474bdb20d334476e4",
-    100: "0eab01e13571b562ca51bab42f078b968b8d14cf82d6659f821ba1e83113df66",
+    1: "03b12b70332307e7fdde73a7d39aac2525905290d11c4afc86169c1ccd46f8e2",
+    2: "2f83de67ba30c6ed2bd51b632839ac3d3ca6856d557902ab0909233a25740062",
+    3: "c5bfdb68bab693df01cdaf51b65bc5f37a74b5b3a4861a14aaa76df2b1346f5a",
+    7: "4aa798794ba33177768c4026d44e4dfd0515ec3c92684188e23a17c90cdd1616",
+    8: "fbdb1e23e91f412b70cda2a3b304aa01917fa887ad2446d5e3366d80248a29ac",
+    100: "78105b47a5692b2afeb65787cfc877041747dc1a0eb4090407ed56efa8d6c2a0",
 }
 
 
