@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .walk import PositionDistribution
+from .walk import PositionDistribution, _check_integer
 
 __all__ = [
     "GbmParams",
@@ -122,8 +122,7 @@ def gbm_terminal_samples(
     for ``count`` independent standard normal draws Z."""
     if not 0 <= t < math.inf:  # so that NaN fails too
         raise ValueError(f"time must be non-negative and finite, got {t}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_integer("count", count, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(count)
     drift = (params.mu - 0.5 * params.sigma**2) * t
@@ -133,8 +132,7 @@ def gbm_terminal_samples(
 def gbm_path(params: GbmParams, n_steps: int, dt: float, seed: int) -> np.ndarray:
     """Price path of length n_steps+1 built from exact log increments
     (no Euler discretization error)."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_integer("n_steps", n_steps, 1)
     if not 0 <= dt < math.inf:  # so that NaN fails too
         raise ValueError(f"dt must be non-negative and finite, got {dt}")
     rng = np.random.default_rng(seed)
@@ -147,8 +145,7 @@ def gbm_path(params: GbmParams, n_steps: int, dt: float, seed: int) -> np.ndarra
 def classical_rw_distribution(n: int) -> PositionDistribution:
     """Binomial endpoint distribution of the +-1 classical random walk:
     P_j = C(n, (n+j)/2) / 2^n on sites with (n+j) even, zero elsewhere."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    _check_integer("step count", n, 0)
     probs = np.zeros(2 * n + 1)
     log_half_n = n * math.log(2.0)
     lg_n = math.lgamma(n + 1)

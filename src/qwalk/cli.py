@@ -269,17 +269,20 @@ def _exclude_half_pi(theta_stop: float, path: str):
         raise ConfigError(path, "theta = pi/2 is excluded")
 
 
-def _walk_bytes(n: int, batch: int, broken: bool = False) -> int:
+def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
     """An upper bound on the bytes a batch of ``n``-step walks holds at once:
     eight (2n+1, batch) complex arrays, plus for broken-link walks the
-    (batch, n, 2n+2) link masks and one step's swap scratch of 41 bytes per
-    link (a flag copy, an int64 index and two complex values).  ``propagate``
-    steps four buffers of at most 2n+1 rows (n+1 on the occupied sublattice)
-    with up to four coin tiles of at most 2n-1 rows (n on the sublattice); it
-    frees two buffers and the tiles before it allocates its two (batch, 2n+1)
-    results.  A random-phase chunk has per-step coins instead of tiles: 128n
-    bytes a walk with their contiguous copy, beside 8n bytes of phases."""
-    return batch * (128 * (2 * n + 1) + ((n + 41) * (2 * n + 2) if broken else 0))
+    (batch, n, 2n+2) count mask of ``count_bytes`` a link (how many swept p
+    break it: one byte up to 255 p) and one step's swap scratch of 41 bytes
+    per link (a flag copy, an int64 index and two complex values).
+    ``propagate`` steps four buffers of at most 2n+1 rows (n+1 on the
+    occupied sublattice) with up to four coin tiles of at most 2n-1 rows (n on
+    the sublattice); it frees two buffers and the tiles before it allocates
+    its two (batch, 2n+1) results.  A random-phase chunk has per-step coins
+    instead of tiles: 128n bytes a walk with their contiguous copy, beside
+    40n bytes of uniforms, angles and phases."""
+    links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
+    return batch * (128 * (2 * n + 1) + links)
 
 
 def _rows_bytes(factors: dict) -> tuple[str, int]:
@@ -389,8 +392,8 @@ def _parse_entropy(doc, realizations):
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     widest = max(range(len(n_values)), key=n_values.__getitem__)
     walks = theta_grid[2] * sum(realizations if p else 1 for p in p_tildes)
-    # a sweep ends with up to six (2n+1) float rows per theta
-    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1)
+    # a sweep ends with up to six (2n+1) float rows per theta and nonzero p_tilde
+    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) * max(1, sum(map(bool, p_tildes)))
     _check_size(
         walks * sum(n**2 for n in n_values),
         (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
@@ -409,8 +412,10 @@ def _parse_decoherence(doc, realizations):
     p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     to_classical = _boolean(doc, "normalize_to_classical", False)
+    count_bytes = np.min_scalar_type(len(p_values)).itemsize  # the sweep's link counts
     _check_size(sum(realizations if p else 1 for p in p_values) * n**2,
-                ("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes)),
+                ("p_values", 48 * (2 * n + 1) * max(1, sum(map(bool, p_values)))),
                 _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
     return n, theta, p_values, ic, to_classical
 
@@ -436,7 +441,7 @@ def _parse_compare_returns(doc, realizations):
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
     _check_size((realizations if p else 1) * n**2,
-                ("n", _walk_bytes(n, decoherence._CHUNK, broken=True)),
+                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes=1)),
                 _rows_bytes({"axis.bins": axis[2]}))
     return n, p, axis, theta, ic, stable, gaussian
 
@@ -482,7 +487,7 @@ def _parse_price_path(doc, _realizations):
     _check_size(
         walks * model.steps_per_horizon**2,
         ("model.steps_per_horizon",
-         _walk_bytes(model.steps_per_horizon, batch, broken=mode == "broken_links")),
+         _walk_bytes(model.steps_per_horizon, batch, count_bytes=int(mode == "broken_links"))),
         _rows_bytes({"horizons": horizons + 1}),
     )
     return model, horizons
@@ -543,9 +548,9 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     header = ["series", "n", "p_tilde", "theta", "entropy"]
     rows = []
     for n in n_values:
-        for p_tilde in p_tildes:
-            results = decoherence._sweep(ic, thetas, DecoherenceSpec.random_phase(p_tilde),
-                                         n, cfg.realizations, cfg.seed)
+        sweep = decoherence._sweep(ic, thetas, "random_phase", p_tildes, n, cfg.realizations,
+                                   cfg.seed)
+        for p_tilde, results in zip(p_tildes, sweep):
             for theta, result in zip(thetas, results):
                 rows.append(["quantum", n, float(p_tilde), float(theta),
                              moments(result.mean).entropy])
@@ -567,10 +572,9 @@ def cmd_decoherence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     classical = classical_rw_distribution(n)
     header = ["series", "p", "j", "prob", "sem"]
     rows = []
-    for p in p_values:
-        result = run_ensemble(
-            ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations, cfg.seed
-        )
+    sweep = decoherence._sweep(ic, [theta], "broken_links", p_values, n, cfg.realizations,
+                               cfg.seed)
+    for p, (result,) in zip(p_values, sweep):
         dist = result.mean
         sem = result.sem
         if to_classical:

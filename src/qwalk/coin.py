@@ -107,16 +107,19 @@ def _reduced(xi, theta, zeta) -> list[np.ndarray]:
     return out
 
 
-def _coins(xi, theta, zeta) -> np.ndarray:
+def _coins(xi, theta, zeta=0.0, phase=None) -> np.ndarray:
     """The coins of the module docstring for angles that are scalars or arrays
     of shape (B,) or (n, B), broadcast together (B = 1 for scalars alone): a
     (..., B, 2, 2) view of the sites-major (..., 2, 2, B) array that
-    :func:`qwalk.walk.propagate` streams."""
+    :func:`qwalk.walk.propagate` streams.  ``phase``, when given, stands for
+    zeta as exp(i zeta) of the reduced zeta, which a caller that builds the
+    coins of one zeta at many theta computes once."""
     xi, theta, zeta = _reduced(xi, theta, zeta)
     ct = np.array([math.cos(t) for t in theta.flat]).reshape(theta.shape)
     st = np.array([math.sin(t) for t in theta.flat]).reshape(theta.shape)
-    phase = np.exp(1j * zeta)  # once, for both off-diagonal entries
-    *lead, walks = np.broadcast_shapes(xi.shape, theta.shape, zeta.shape, (1,))
+    if phase is None:
+        phase = np.exp(1j * zeta)  # once, for both off-diagonal entries
+    *lead, walks = np.broadcast_shapes(xi.shape, theta.shape, np.shape(phase), (1,))
     m = np.empty((*lead, 2, 2, walks), dtype=complex)
     m[..., 0, 0, :], m[..., 0, 1, :] = np.exp(1j * xi) * ct, st * phase
     m[..., 1, 0, :], m[..., 1, 1, :] = st / phase, -np.exp(-1j * xi) * ct

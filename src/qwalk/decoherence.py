@@ -27,10 +27,12 @@ step, bit-flip channels) are out of scope here.
 Ensembles are reproducible: realization r uses the random stream derived
 from ``SeedSequence(entropy=seed, spawn_key=(r,))``, so results do not
 depend on evaluation order, and the mean is accumulated in increasing-r
-order.  One loop creates each chunk's streams and draws its noise once,
-then walks it at every theta of a sweep; an ensemble is the sweep at one
-theta, and price-path horizon h is realization h.  A noiseless run draws
-no stream: each mean is one unitary walk's own probabilities.
+order.  One loop creates each chunk's streams and draws its uniforms once
+per command, then walks them at every probability and every theta of a
+sweep: each p derives its noise from the same draws.  An ensemble is the
+sweep at one (p, theta), and price-path horizon h is realization h.  A
+noiseless run draws no stream: each mean is one unitary walk's own
+probabilities.
 
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
@@ -42,8 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import TWO_PI, _coins
-from .walk import InitialCoinState, PositionDistribution, _grid_probs, propagate
+from .coin import TWO_PI, _coins, _reduced
+from .walk import (InitialCoinState, PositionDistribution, _check_integer, _grid_probs,
+                   propagate)
 
 __all__ = [
     "DecoherenceSpec",
@@ -131,69 +134,83 @@ def run_ensemble(
     renormalized to sum to exactly one.  With p = 0, mode "none" or n = 0 no
     stream is made, the mean is ``position_distribution(evolve(ic,
     make_theta_coin(theta), n)).probs`` bit for bit, and the sem is 0.  It is
-    the theta sweep at ``theta`` alone; a sweep shares each chunk's streams
-    and noise across theta and gives every theta this result, bit for bit.
+    the sweep at (p, theta) alone; a sweep shares each chunk's streams and
+    draws across every p and theta and gives each pair this result, bit for
+    bit.  ``n`` and ``realizations`` must be integers, not bools.
     """
-    return _sweep(ic, [theta], spec, n, realizations, seed)[0]
+    return _sweep(ic, [theta], spec.mode, [spec.p], n, realizations, seed)[0][0]
 
 
-def _sweep(ic, thetas, spec, n, realizations, seed) -> list[EnsembleResult]:
-    """:func:`run_ensemble` at each of ``thetas``, walking every chunk's
-    realizations at each theta from noise drawn once; a noiseless sweep walks
-    the pairs (0, theta) in batches of ``_grid_probs``."""
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleResult]]:
+    """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
+    of ``thetas``, one list per p.  Every chunk's streams are made and drawn
+    once, then walked at each distinct nonzero p, largest first, and each
+    theta; the noiseless entries (p = 0, mode "none" or n = 0) share one walk
+    per theta, the pairs (0, theta) in batches of ``_grid_probs``."""
+    _check_integer("realizations", realizations, 1)
+    _check_integer("step count", n, 0)
 
     size = 2 * n + 1
-    # zero disruption probability carries no stochasticity: one walk per theta,
-    # with no random stream, is exactly the mean, and the standard error is 0
-    if spec.mode == "none" or spec.p == 0.0 or n == 0:
-        return [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
-                for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n)
-                for p in probs]
-
-    acc, acc_sq = np.zeros((2, len(thetas), size))
-    for _, walks in _chunks(ic, thetas, spec, n, realizations, seed):
+    noisy = [] if mode == "none" or n == 0 else sorted({p for p in ps if p}, reverse=True)
+    acc, acc_sq = np.zeros((2, len(noisy) * len(thetas), size))
+    for _, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed) if noisy else ():
         for k, probs in enumerate(walks):
             acc[k] += probs.sum(axis=0)
             acc_sq[k] += (probs**2).sum(axis=0)
-
     mean = acc / realizations
     if realizations > 1:
         var = (acc_sq - realizations * mean**2) / (realizations - 1)
         sem = np.sqrt(np.maximum(var, 0.0) / realizations)
     else:
         sem = np.zeros_like(acc)
-    return [EnsembleResult(PositionDistribution(n=n, probs=m / m.sum()), s)
-            for m, s in zip(mean, sem)]
+    results = [EnsembleResult(PositionDistribution(n=n, probs=m / m.sum()), s)
+               for m, s in zip(mean, sem)]
+    swept = {p: results[i * len(thetas) : (i + 1) * len(thetas)] for i, p in enumerate(noisy)}
+    if any(p not in swept for p in ps):
+        # zero disruption probability carries no stochasticity: one walk per
+        # theta, with no random stream, is exactly the mean, and the sem is 0
+        unitary = [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
+                   for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n)
+                   for p in probs]
+    return [swept[p] if p in swept else unitary for p in ps]
 
 
-def _chunks(ic, thetas, spec, n, realizations, seed):
+def _chunks(ic, thetas, mode, ps, n, realizations, seed):
     """Per chunk of ``_CHUNK`` realizations, in increasing r: its streams and
     :func:`_chunk_walks` of them, which draws their noise when first asked."""
     for start in range(0, realizations, _CHUNK):
         rngs = [realization_rng(seed, r) for r in range(start, min(start + _CHUNK, realizations))]
-        yield rngs, _chunk_walks(ic, thetas, spec, n, rngs)
+        yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs)
 
 
-def _chunk_walks(ic, thetas, spec, n, rngs):
+def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     """Position probabilities, a C-contiguous (len(rngs), 2n+1) array at each
-    of ``thetas`` in turn, of one walk per generator, whose noise ("none" has
-    none) is drawn before the first theta.  The noise lives here alone, so it
-    goes when this finishes or is dropped, before the next chunk's is drawn."""
-    zetas, broken = np.zeros(len(rngs)), None  # per walk: one real coin for every step
-    if spec.mode == "broken_links":
-        broken = np.empty((len(rngs), n, 2 * n + 2), dtype=bool)
-        for mask, rng in zip(broken, rngs):
-            np.less(rng.random((n, 2 * n + 2)), spec.p, out=mask)
-    elif spec.mode == "random_phase":
+    p of the non-increasing ``ps`` and, within it, each of ``thetas`` in turn,
+    of one walk per generator.  Each generator draws its uniforms once, before
+    the first walk ("none" draws none), and every p derives its noise from
+    them.  The noise lives here alone, so it goes when this finishes or is
+    dropped, before the next chunk's is drawn."""
+    phase, counts = np.ones(len(rngs)), None  # per walk: one real coin for every step
+    if mode == "broken_links":
+        # per link, how many of ps exceed its uniform: each p, largest first,
+        # breaks the links whose count is nonzero, then the counts step down
+        counts = np.zeros((len(rngs), n, 2 * n + 2), dtype=np.min_scalar_type(len(ps)))
+        for count, rng in zip(counts, rngs):
+            u = rng.random((n, 2 * n + 2))
+            for p in ps:
+                count += u < p
+            del u  # freed before the next realization draws its own
+    elif mode == "random_phase":
         draws = np.array([rng.random((n, 2)) for rng in rngs])
-        zetas = np.where(draws[:, :, 0] < spec.p, TWO_PI * draws[:, :, 1], 0.0).T  # (n, B)
-        del draws  # the phases alone are walked
-    for theta in thetas:  # this theta's coins and amplitudes go before the next's come
-        a, b = propagate(ic.a0, ic.b0, _coins(0.0, theta, zetas), n, broken=broken)
-        probs = np.abs(a) ** 2 + np.abs(b) ** 2
-        del a, b
-        yield probs
+        accept, angles = draws[:, :, 0].T, TWO_PI * draws[:, :, 1].T  # (n, B)
+    for i, p in enumerate(ps):
+        if mode == "random_phase":  # exp(i zeta) once, of zeta reduced as the coin's
+            phase = np.exp(1j * _reduced(0.0, 0.0, np.where(accept < p, angles, 0.0))[2])
+        elif counts is not None and i:  # every nonzero count steps down to this p
+            for count in counts:  # a walk at a time, so that the flags stay small
+                np.subtract(count, count != 0, out=count)
+        for theta in thetas:  # this theta's coins and amplitudes go before the next's come
+            a, b = propagate(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken=counts)
+            probs = np.abs(a) ** 2 + np.abs(b) ** 2
+            del a, b
+            yield probs

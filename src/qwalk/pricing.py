@@ -28,7 +28,8 @@ from . import decoherence
 from .coin import CoinAngles, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
 from .stats import moments
-from .walk import InitialCoinState, PositionDistribution, evolve, position_distribution
+from .walk import (InitialCoinState, PositionDistribution, _check_integer, evolve,
+                   position_distribution)
 
 __all__ = [
     "DiffusionScaler",
@@ -115,9 +116,7 @@ class QwPriceModel:
             raise ValueError(f"s0 must be positive, got {self.s0}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        n = self.steps_per_horizon
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"steps_per_horizon must be an integer >= 1, got {n!r}")
+        _check_integer("steps_per_horizon", self.steps_per_horizon, 1)
         if not self.dt_per_step > 0:
             raise ValueError("dt_per_step must be positive")
         if not math.isfinite(self.horizon):
@@ -252,8 +251,9 @@ def qw_price_path(
     prices = [model.s0]
     # horizon h is realization h of the ensemble engine: its stream draws the
     # walk's noise, then samples the walk
+    spec = model.decoherence
     for rngs, walks in decoherence._chunks(
-            model.ic, [model.angles.theta], model.decoherence, n, total_steps, seed):
+            model.ic, [model.angles.theta], spec.mode, [spec.p], n, total_steps, seed):
         probs = next(walks) if unitary is None else [unitary.probs] * len(rngs)
         for rng, p in zip(rngs, probs):
             j = int(rng.choice(sites, p=p / p.sum()))

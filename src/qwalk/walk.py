@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,8 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     contiguous tile of the window's shape when it is fixed but differs per
     walk, and the step's (B,) row, broadcast over the window, otherwise.
 
-    ``broken``: optional (B, n, 2n+2) bool link flags; ``broken[i, k, c]`` breaks
+    ``broken``: optional (B, n, 2n+2) link flags, of any numeric dtype, whose
+    nonzero entries mark broken links: a nonzero ``broken[i, k, c]`` breaks
     the link (c-n-1, c-n) at step k of walk i.  A broken link (j, j+1) swaps the
     up output bound for j+1 with the down output bound for j, so both stay at
     their own site in the other component; with the single-angle coin this is
@@ -174,7 +176,7 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
             # links [-k-1, k] are crossed by the up outputs at sites [-k, k+1]
             # and the down outputs at [-k-1, k] (the outermost still 0); the
             # windows are contiguous, so each flat view writes through
-            hit = np.flatnonzero(broken[:, k, n - k : n + k + 2].T)
+            hit = np.flatnonzero(np.not_equal(broken[:, k, n - k : n + k + 2].T, 0, order="C"))
             up = a_next[n - k : n + k + 2].reshape(-1)
             dn = b_next[n - k - 1 : n + k + 1].reshape(-1)
             up[hit], dn[hit] = dn[hit], up[hit]
@@ -207,7 +209,10 @@ def _coin_operands(coins, n: int, full: bool):
     widths = range(1, (1 + full) * (n - 1) + 2, 1 + full)
     streams = []
     for e in range(4):
-        if walks and np.all(bits[:, e] == bits[:1, e, :1]):
+        # shared when the real and the imaginary bit patterns over (steps,
+        # walks) each equal the first: two strided scalar comparisons
+        re, im = bits[:, e, :, 0], bits[:, e, :, 1]
+        if walks and np.all(re == re[0, 0]) and np.all(im == im[0, 0]):
             streams.append(itertools.repeat(entries[0, e, 0], n))
         elif fixed:
             tile = np.ascontiguousarray(np.broadcast_to(entries[0, e], (widths[-1], walks)))
@@ -215,6 +220,13 @@ def _coin_operands(coins, n: int, full: bool):
         else:
             streams.append(entries[:, e])
     yield from zip(*streams)
+
+
+def _check_integer(name: str, value, lo: int):
+    """Raise ValueError unless ``value`` is an integer >= ``lo``; a float or a
+    bool is not one, however whole."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _grid_probs(ic: InitialCoinState, pairs, n: int):

@@ -25,6 +25,21 @@ ROOT_HALF = 1.0 / math.sqrt(2.0)
 # ---------------------------------------------------------------- GBM
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gbm_path(GbmParams(0.0, 0.2), 2.5, 0.1, 0),
+    lambda: gbm_path(GbmParams(0.0, 0.2), True, 0.1, 0),
+    lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), 1.0, 2.5, 0),
+    lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), 1.0, False, 0),
+    lambda: classical_rw_distribution(2.5),
+    lambda: classical_rw_distribution(True),
+], ids=["gbm_path_float", "gbm_path_bool", "terminal_float", "terminal_bool", "rw_float",
+        "rw_bool"])
+def test_integer_arguments_must_be_integers(call):
+    # each used to fail late inside numpy or range with a TypeError, or took True as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_gbm_zero_volatility_is_pure_drift():
     params = GbmParams(mu=0.07, sigma=0.0, s0=3.0)
     samples = gbm_terminal_samples(params, t=2.0, count=50, seed=1)

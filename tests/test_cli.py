@@ -30,7 +30,7 @@ from qwalk.cli import (
 )
 from qwalk.classical import stable_pdf
 from qwalk.coin import _coins, make_theta_coin
-from qwalk.decoherence import DecoherenceSpec, realization_rng
+from qwalk.decoherence import realization_rng
 from qwalk.stats import moments
 from qwalk.walk import (
     SYMMETRIC_IC,
@@ -531,16 +531,25 @@ def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeyp
     ("broken_links", 0.2),
     ("broken_links_per_walk_coins", 1.0),  # every link swaps: the most scratch
     ("random_phase_per_step_coins", None),
+    ("random_phase_sweep", [0.0, 0.9, 0.1, 0.5]),
+    ("broken_links_sweep", [0.0, 0.9, 0.1, 0.5, 0.1]),
 ])
 def test_walk_bytes_bounds_one_propagate_call(case, p):
     n, walks = 20, 64
     rng = np.random.default_rng(4)
-    if case == "random_phase_per_step_coins":
+    sweep = 0
+    if case.endswith("_sweep"):
+        # a whole one-chunk sweep over the p list: it draws once, walks each
+        # nonzero p at every theta and holds all their series, which the
+        # parsers' sweep term bounds
+        thetas, mode = np.linspace(0.1, 1.4, 30), case.removesuffix("_sweep")
+        sweep = 48 * len(thetas) * (2 * n + 1) * sum(map(bool, p))
+        held, run = 0, lambda: decoherence._sweep(SYMMETRIC_IC, thetas, mode, p, n, walks, 4)
+    elif case == "random_phase_per_step_coins":
         # one whole chunk of the engine: its (accept, phase) uniforms, its
         # zetas, its (n, walks, 2, 2) coins and the propagate call
         rngs = [realization_rng(4, r) for r in range(walks)]
-        spec = DecoherenceSpec.random_phase(0.5)
-        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], spec, n, rngs)
+        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], "random_phase", [0.5], n, rngs)
         held, run = 0, lambda: list(chunk)
     else:
         if case == "broken_links":  # the engine's one real coin: no coin tiles
@@ -548,7 +557,8 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         else:  # a coin per walk: four tiles as tall as the widest window
             xi, theta = rng.uniform(0, 1.5, (walks, 2)).T
             coins = _coins(xi, theta, 0.0)
-        broken = None if p is None else rng.random((walks, n, 2 * n + 2)) < p
+        # the engine's count mask of one swept p, one byte a link
+        broken = None if p is None else (rng.random((walks, n, 2 * n + 2)) < p).astype(np.uint8)
         held = coins.nbytes + (0 if p is None else broken.nbytes)
         run = lambda: propagate(SYMMETRIC_IC.a0, SYMMETRIC_IC.b0, coins, n, broken=broken)
     tracemalloc.start()
@@ -557,7 +567,7 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held + peak <= cli._walk_bytes(n, walks, broken=p is not None)
+    assert held + peak <= cli._walk_bytes(n, walks, int(case.startswith("broken"))) + sweep
 
 
 @pytest.mark.parametrize("ic, theta", [

@@ -148,11 +148,12 @@ def test_noiseless_sweep_equals_the_unitary_walks_bitwise(monkeypatch):
     for n in (0, 1, 17):
         want = [position_distribution(evolve(ic, make_theta_coin(t), n)).probs for t in thetas]
         for spec in specs:
-            results = decoherence._sweep(ic, thetas, spec, n, 300, seed=-1)
-            assert len(results) == len(thetas)
-            for result, probs in zip(results, want):
-                assert result.mean.probs.tobytes() == probs.tobytes()
-                assert np.all(result.sem == 0.0)
+            # a zero p twice: both share the one walk per theta
+            for results in decoherence._sweep(ic, thetas, spec.mode, [spec.p] * 2, n, 300, -1):
+                assert len(results) == len(thetas)
+                for result, probs in zip(results, want):
+                    assert result.mean.probs.tobytes() == probs.tobytes()
+                    assert np.all(result.sem == 0.0)
 
 
 def test_ensemble_mode_none_has_no_stochasticity():
@@ -194,7 +195,7 @@ def test_ensemble_matches_public_step_surface_in_any_order():
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
     rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
-    (got,) = decoherence._chunk_walks(ic, [1.1], spec, n, rngs)
+    (got,) = decoherence._chunk_walks(ic, [1.1], spec.mode, [p], n, rngs)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     for i, probs in enumerate(got):
         want = replay_walk(ic, 1.1, spec, n, realization_rng(11, 5 + i)).probs
@@ -287,7 +288,7 @@ def test_every_engine_rejects_a_non_finite_theta(spec, theta):
     with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
         run_ensemble(SYMMETRIC_IC, theta, spec, 6, 3, seed=1)
     with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
-        decoherence._sweep(SYMMETRIC_IC, [0.4, theta], spec, 6, 3, seed=1)
+        decoherence._sweep(SYMMETRIC_IC, [0.4, theta], spec.mode, [0.2, spec.p], 6, 3, seed=1)
 
 
 class FixedPhaseRng:
@@ -303,21 +304,27 @@ class FixedPhaseRng:
 @pytest.mark.parametrize("ic", [SYMMETRIC_IC, InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)])
 def test_random_phase_engine_walks_the_su2_coin_bytes(ic, monkeypatch):
     # u0 = 0.61: the two forms of the (1, 0) entry, e^{-i zeta} s and
-    # s / e^{i zeta}, round apart, so the coins must share one builder
-    theta, u0, n, walks = 1.1, 0.61, 9, 3
-    coin = make_su2_coin(CoinAngles(0.0, theta, TWO_PI * u0))
+    # s / e^{i zeta}, round apart, so the coins must share one builder.
+    # u0 = 1 - 2^-53, the largest draw, puts zeta one ulp below 2*pi; u0 = 1,
+    # past every draw, puts it at 2*pi, which the engine's phase, computed once
+    # per chunk, must reduce to 0 as the coin does
+    theta, n, walks = 1.1, 9, 3
     built, coins = [], decoherence._coins
-    monkeypatch.setattr(decoherence, "_coins", lambda *a: built.append(coins(*a)) or built[-1])
-    spec = DecoherenceSpec.random_phase(1.0)
-    (probs,) = decoherence._chunk_walks(ic, [theta], spec, n, [FixedPhaseRng(u0)] * walks)
-    (per_step,) = built
-    assert per_step.shape == (n, walks, 2, 2)
-    assert all(c.tobytes() == coin.matrix.tobytes() for c in per_step.reshape(-1, 2, 2))
-    # walked per step and walk, they are evolve under that one coin, bit for bit
-    want = evolve(ic, coin, n)
-    a, b = propagate(ic.a0, ic.b0, per_step, n)
-    assert all(np.array_equal(x, want.a) for x in a) and all(np.array_equal(x, want.b) for x in b)
-    assert all(np.array_equal(p, position_distribution(want).probs) for p in probs)
+    monkeypatch.setattr(decoherence, "_coins",
+                        lambda *a, **k: built.append(coins(*a, **k)) or built[-1])
+    for u0 in (0.61, 1 - 2**-53, 1.0):
+        coin = make_su2_coin(CoinAngles(0.0, theta, TWO_PI * u0))
+        rngs = [FixedPhaseRng(u0)] * walks
+        (probs,) = decoherence._chunk_walks(ic, [theta], "random_phase", [1.0], n, rngs)
+        per_step = built.pop()
+        assert per_step.shape == (n, walks, 2, 2) and not built
+        assert all(c.tobytes() == coin.matrix.tobytes() for c in per_step.reshape(-1, 2, 2))
+        # walked per step and walk, they are evolve under that one coin, bit for bit
+        want = evolve(ic, coin, n)
+        a, b = propagate(ic.a0, ic.b0, per_step, n)
+        assert all(np.array_equal(x, want.a) for x in a)
+        assert all(np.array_equal(x, want.b) for x in b)
+        assert all(np.array_equal(p, position_distribution(want).probs) for p in probs)
 
 
 def test_realization_count_validated():
@@ -350,7 +357,7 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.random_phase(p_tilde)
     rngs = [realization_rng(9, r) for r in range(3, 3 + count)]
-    (got,) = decoherence._chunk_walks(ic, [theta], spec, n, rngs)
+    (got,) = decoherence._chunk_walks(ic, [theta], spec.mode, [p_tilde], n, rngs)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
     assert np.array_equal(got, want)
@@ -380,8 +387,8 @@ def test_each_phase_sweep_creates_its_streams_once_and_keeps_none(monkeypatch):
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # each of the two nonzero p_tilde sweeps creates every stream once
-        assert np.all(streams[:realizations] == 2) and streams.sum() == 2 * realizations
+        # the one sweep over both nonzero p_tilde creates every stream once
+        assert np.all(streams[:realizations] == 1) and streams.sum() == realizations
         # and keeps less than one chunk's (accept, phase) uniforms; a cache
         # of every realization's would hold 16 * n * realizations bytes
         assert held < 16 * n * decoherence._CHUNK
@@ -393,12 +400,43 @@ def test_each_phase_sweep_creates_its_streams_once_and_keeps_none(monkeypatch):
 ], ids=["broken_links", "random_phase"])
 def test_theta_sweep_equals_per_theta_ensembles_bitwise(spec, realizations):
     ic, thetas, n = InitialCoinState(0.6, 0.8j), [0.2, THETA, 1.1, 1.5], 9
-    sweep = decoherence._sweep(ic, thetas, spec, n, realizations, 31)
+    (sweep,) = decoherence._sweep(ic, thetas, spec.mode, [spec.p], n, realizations, 31)
     assert len(sweep) == len(thetas)
     for theta, got in zip(thetas, sweep):
         want = run_ensemble(ic, theta, spec, n, realizations, 31)
         assert got.mean.probs.tobytes() == want.mean.probs.tobytes()
         assert got.sem.tobytes() == want.sem.tobytes()
+
+
+#: unsorted, with a duplicate, a 0 and a 1
+P_LIST = [0.3, 0.0, 1.0, 0.05, 0.3, 0.7]
+#: 299 distinct nonzero p, shuffled: a link count wider than a uint8
+P_WIDE = list(np.random.default_rng(2).permutation(np.linspace(0.0, 1.0, 300)))
+
+
+@pytest.mark.parametrize("ps, realizations, thetas", [
+    *[(P_LIST, r, [0.4, 1.1]) for r in (1, 128, 129, 257)], (P_WIDE, 129, [1.1]),
+], ids=["1", "128", "129", "257", "300p"])
+@pytest.mark.parametrize("mode", ["broken_links", "random_phase"])
+def test_p_sweep_equals_per_p_ensembles_bitwise(mode, ps, realizations, thetas):
+    ic, n = InitialCoinState(0.6, 0.8j), 5
+    sweep = decoherence._sweep(ic, thetas, mode, ps, n, realizations, 31)
+    assert len(sweep) == len(ps)
+    for p, results in zip(ps, sweep):
+        assert len(results) == len(thetas)
+        for theta, got in zip(thetas, results):
+            want = run_ensemble(ic, theta, DecoherenceSpec(mode, p), n, realizations, 31)
+            assert got.mean.probs.tobytes() == want.mean.probs.tobytes()
+            assert got.sem.tobytes() == want.sem.tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"realizations": 2.5}, {"realizations": True}, {"n": 2.0}, {"n": True},
+])
+def test_ensemble_counts_must_be_integers(kwargs):
+    args = dict(n=4, realizations=3) | kwargs
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.2), seed=1, **args)
 
 
 def test_random_phase_peak_memory_does_not_grow_with_realizations():

@@ -22,6 +22,7 @@ from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
     InitialCoinState,
+    _coin_operands,
     evolve,
     position_distribution,
     propagate,
@@ -306,3 +307,46 @@ def test_propagate_rejects_bad_coin_shapes():
         propagate(1.0, 0.0, np.eye(2), 3)
     with pytest.raises(ValueError):
         propagate(1.0, 0.0, np.ones((2, 1, 2, 2)), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_propagate_walks_a_count_mask_like_its_bool_mask_bitwise(dtype):
+    # the ensemble engine hands propagate link counts: nonzero breaks the link
+    n, walks = 12, 5
+    rng = np.random.default_rng(8)
+    counts = rng.integers(0, 4, (walks, n, 2 * n + 2)).astype(dtype)
+    counts[0] *= 100 if dtype == np.uint16 else 85  # counts up to 300, or to 255
+    coins = np.broadcast_to(make_theta_coin(1.1).matrix, (walks, 2, 2))
+    want = propagate(0.6, 0.8j, coins, n, broken=counts != 0)
+    got = propagate(0.6, 0.8j, coins, n, broken=counts)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _broadcast_shared(coins, n):
+    """Which coin entries the walk kernel streams as one scalar, by the
+    broadcast of each entry's bit patterns against its first."""
+    fixed, walks = coins.ndim == 3, coins.shape[-3]
+    entries = np.ascontiguousarray(np.moveaxis(coins, -3, -1)).reshape(
+        1 if fixed else n, 4, walks)
+    bits = entries.view(np.uint64).reshape(*entries.shape, 2)
+    return [bool(walks and np.all(bits[:, e] == bits[:1, e, :1])) for e in range(4)]
+
+
+def test_shared_coin_entries_are_those_of_the_broadcast_test():
+    rng = np.random.default_rng(5)
+    pool = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0.6 + 0.8j, 0.6 - 0.8j, 1.0]
+    seen = set()
+    for _ in range(400):
+        n, walks = int(rng.integers(1, 4)), int(rng.choice([1, 2, 5]))
+        shape = (walks, 2, 2) if rng.random() < 0.5 else (n, walks, 2, 2)
+        coins = np.empty(shape, dtype=complex)
+        for i, j in np.ndindex(2, 2):  # each entry shared, or all but one cell
+            coins[..., i, j] = pool[rng.integers(len(pool))]
+            if rng.random() < 0.5:
+                cell = tuple(rng.integers(0, d) for d in shape[:-2])
+                coins[(*cell, i, j)] = pool[rng.integers(len(pool))]
+        want = _broadcast_shared(coins, n)
+        first = next(_coin_operands(coins, n, False))
+        assert [np.ndim(c) == 0 for c in first] == want
+        seen.update(want)
+    assert seen == {False, True}
