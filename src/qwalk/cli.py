@@ -41,7 +41,7 @@ from .classical import (
 from .coin import CoinAngles, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
 from .pricing import DiffusionScaler, QwPriceModel, qw_price_path
-from .stats import _cumulants, moments, normalize_to_reference
+from .stats import _cumulants, _skewness, moments, normalize_to_reference
 from .walk import (
     DOWN_IC,
     SYMMETRIC_IC,
@@ -391,11 +391,11 @@ def _parse_entropy(doc, realizations):
     flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     widest = max(range(len(n_values)), key=n_values.__getitem__)
-    walks = theta_grid[2] * sum(realizations if p else 1 for p in p_tildes)
-    # a sweep ends with up to six (2n+1) float rows per theta and nonzero p_tilde
-    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) * max(1, sum(map(bool, p_tildes)))
+    noisy, noiseless = decoherence._walks(p_tildes, n_values[widest])
+    # a sweep ends with up to six (2n+1) float rows per theta and noisy p_tilde
+    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) * max(1, len(noisy))
     _check_size(
-        walks * sum(n**2 for n in n_values),
+        theta_grid[2] * (len(noisy) * realizations + noiseless) * sum(n**2 for n in n_values),
         (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
         ("theta_grid.count", sweep),
         _rows_bytes({"theta_grid.count": theta_grid[2],
@@ -412,10 +412,11 @@ def _parse_decoherence(doc, realizations):
     p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     to_classical = _boolean(doc, "normalize_to_classical", False)
-    count_bytes = np.min_scalar_type(len(p_values)).itemsize  # the sweep's link counts
-    _check_size(sum(realizations if p else 1 for p in p_values) * n**2,
+    noisy, noiseless = decoherence._walks(p_values, n)
+    count_bytes = np.min_scalar_type(len(noisy)).itemsize  # the sweep's link counts
+    _check_size((len(noisy) * realizations + noiseless) * n**2,
                 ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes)),
-                ("p_values", 48 * (2 * n + 1) * max(1, sum(map(bool, p_values)))),
+                ("p_values", 48 * (2 * n + 1) * max(1, len(noisy))),
                 _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
     return n, theta, p_values, ic, to_classical
 
@@ -440,8 +441,9 @@ def _parse_compare_returns(doc, realizations):
                 _number(g, "sigma", "gaussian", default=1.0))
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
-    _check_size((realizations if p else 1) * n**2,
-                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes=1)),
+    noisy, noiseless = decoherence._walks([p], n)
+    _check_size((len(noisy) * realizations + noiseless) * n**2,
+                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes=len(noisy))),  # 1 at p > 0
                 _rows_bytes({"axis.bins": axis[2]}))
     return n, p, axis, theta, ic, stable, gaussian
 
@@ -479,15 +481,15 @@ def _parse_price_path(doc, _realizations):
         raise ConfigError("model", str(exc)) from exc
     if not math.isfinite(horizons * model.horizon):  # the time of the last row
         raise ConfigError("horizons", "the time horizons * model.horizon must be finite")
-    mode = model.decoherence.mode
-    batch = 1 if mode == "none" else decoherence._CHUNK
+    n, spec = model.steps_per_horizon, model.decoherence
     # a unitary walk serves every horizon; a stochastic one is walked per
     # horizon and per calibration realization
-    walks = 1 if mode == "none" else horizons + pricing._CALIBRATION_REALIZATIONS
+    noisy, noiseless = decoherence._walks([spec.p], n)
+    broken = int(bool(noisy) and spec.mode == "broken_links")
     _check_size(
-        walks * model.steps_per_horizon**2,
+        (len(noisy) * (horizons + pricing._CALIBRATION_REALIZATIONS) + noiseless) * n**2,
         ("model.steps_per_horizon",
-         _walk_bytes(model.steps_per_horizon, batch, count_bytes=int(mode == "broken_links"))),
+         _walk_bytes(n, decoherence._CHUNK if noisy else 1, count_bytes=broken)),
         _rows_bytes({"horizons": horizons + 1}),
     )
     return model, horizons
@@ -528,7 +530,7 @@ def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     for probs in _grid_probs(ic, cells, n):
         _, k2, k3 = _cumulants(sites, probs[:, ::2])
         if statistic == "skewness":
-            values += [c3 / d if (d := c2**1.5) > 0.0 else math.nan for c2, c3 in zip(k2, k3)]
+            values += map(_skewness, k2, k3)
         else:
             values += [c2 / n**2 for c2 in k2]
     rows = [[float(eta), float(theta), value] for (eta, theta), value in zip(cells, values)]

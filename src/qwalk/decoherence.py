@@ -30,9 +30,10 @@ depend on evaluation order, and the mean is accumulated in increasing-r
 order.  One loop creates each chunk's streams and draws its uniforms once
 per command, then walks them at every probability and every theta of a
 sweep: each p derives its noise from the same draws.  An ensemble is the
-sweep at one (p, theta), and price-path horizon h is realization h.  A
-noiseless run draws no stream: each mean is one unitary walk's own
-probabilities.
+sweep at one (p, theta), and price-path horizon h is realization h.  A run
+is noiseless exactly when its probability is 0, in any mode ("none" is the
+name of p = 0), or when n = 0: it is one unitary walk per theta, draws no
+stream, and each mean is that walk's own probabilities.
 
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
@@ -46,7 +47,7 @@ import numpy as np
 
 from .coin import TWO_PI, _coins, _reduced
 from .walk import (InitialCoinState, PositionDistribution, _check_integer, _grid_probs,
-                   propagate)
+                   _probs, propagate)
 
 __all__ = [
     "DecoherenceSpec",
@@ -57,6 +58,8 @@ __all__ = [
 
 #: realizations per chunk of the ensemble loop: walks per propagate call
 _CHUNK = 128
+#: the largest probability of each mode: "none" names the noiseless walk, p = 0
+_MAX_P = {"none": 0.0, "broken_links": 1.0, "random_phase": 1.0}
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,18 @@ class DecoherenceSpec:
     """Which decoherence mechanism governs a run.
 
     ``mode`` is one of "none", "broken_links" (probability ``p``) or
-    "random_phase" (probability ``p_tilde``).
+    "random_phase" (probability ``p_tilde``).  Any mode at p = 0 is the
+    noiseless, unitary walk, and "none" is its name: it takes no other p.
     """
 
     mode: str
     p: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "broken_links", "random_phase"):
+        if self.mode not in _MAX_P:
             raise ValueError(f"unknown decoherence mode {self.mode!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"decoherence probability must be in [0, 1], got {self.p}")
+        if not 0.0 <= self.p <= _MAX_P[self.mode]:
+            raise ValueError(f"{self.mode} p must be in [0, {_MAX_P[self.mode]:g}], got {self.p}")
 
     @classmethod
     def none(cls) -> "DecoherenceSpec":
@@ -94,10 +98,10 @@ class EnsembleResult:
     """Averaged position distribution over stochastic realizations.
 
     ``mean`` is the realization mean renormalized to sum to exactly one, or
-    of a noiseless run the one unitary walk's probabilities as they stand;
-    ``sem`` is the per-site standard error of the mean (sample standard
-    deviation over realizations divided by sqrt(realizations), zero when
-    realizations == 1 or the run is noiseless).
+    of a noiseless run (p = 0 in any mode, or n = 0) the one unitary walk's
+    probabilities as they stand; ``sem`` is the per-site standard error of
+    the mean (sample standard deviation over realizations divided by
+    sqrt(realizations), zero when realizations == 1 or the run is noiseless).
     """
 
     mean: PositionDistribution
@@ -131,8 +135,8 @@ def run_ensemble(
       per-step random-phase oracle in ``tests/helpers.py``, bit for bit.
 
     The mean is accumulated over realizations in increasing order and
-    renormalized to sum to exactly one.  With p = 0, mode "none" or n = 0 no
-    stream is made, the mean is ``position_distribution(evolve(ic,
+    renormalized to sum to exactly one.  A noiseless run, p = 0 in any mode
+    or n = 0, makes no stream: the mean is ``position_distribution(evolve(ic,
     make_theta_coin(theta), n)).probs`` bit for bit, and the sem is 0.  It is
     the sweep at (p, theta) alone; a sweep shares each chunk's streams and
     draws across every p and theta and gives each pair this result, bit for
@@ -143,15 +147,15 @@ def run_ensemble(
 
 def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleResult]]:
     """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
-    of ``thetas``, one list per p.  Every chunk's streams are made and drawn
-    once, then walked at each distinct nonzero p, largest first, and each
-    theta; the noiseless entries (p = 0, mode "none" or n = 0) share one walk
-    per theta, the pairs (0, theta) in batches of ``_grid_probs``."""
+    of ``thetas``, one list per p, walked as :func:`_walks` lays out: every
+    chunk's streams are made and drawn once, then walked at each noisy p and
+    each theta; the noiseless entries share one walk per theta, the pairs
+    (0, theta) in batches of ``_grid_probs``."""
     _check_integer("realizations", realizations, 1)
     _check_integer("step count", n, 0)
 
     size = 2 * n + 1
-    noisy = [] if mode == "none" or n == 0 else sorted({p for p in ps if p}, reverse=True)
+    noisy, noiseless = _walks(ps, n)
     acc, acc_sq = np.zeros((2, len(noisy) * len(thetas), size))
     for _, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed) if noisy else ():
         for k, probs in enumerate(walks):
@@ -166,13 +170,18 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleRes
     results = [EnsembleResult(PositionDistribution(n=n, probs=m / m.sum()), s)
                for m, s in zip(mean, sem)]
     swept = {p: results[i * len(thetas) : (i + 1) * len(thetas)] for i, p in enumerate(noisy)}
-    if any(p not in swept for p in ps):
-        # zero disruption probability carries no stochasticity: one walk per
-        # theta, with no random stream, is exactly the mean, and the sem is 0
+    if noiseless:
         unitary = [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
                    for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n)
                    for p in probs]
     return [swept[p] if p in swept else unitary for p in ps]
+
+
+def _walks(ps, n: int) -> tuple[list, bool]:
+    """(the distinct nonzero p of ``ps``, largest first; whether a p is 0 or
+    ``n`` is): the noisy and the unitary walks of a sweep, per theta."""
+    noisy = sorted({p for p in ps if p}, reverse=True) if n else []
+    return noisy, not n or 0.0 in ps
 
 
 def _chunks(ic, thetas, mode, ps, n, realizations, seed):
@@ -187,9 +196,9 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     """Position probabilities, a C-contiguous (len(rngs), 2n+1) array at each
     p of the non-increasing ``ps`` and, within it, each of ``thetas`` in turn,
     of one walk per generator.  Each generator draws its uniforms once, before
-    the first walk ("none" draws none), and every p derives its noise from
-    them.  The noise lives here alone, so it goes when this finishes or is
-    dropped, before the next chunk's is drawn."""
+    the first walk, and every p derives its noise from them.  The noise lives
+    here alone, so it goes when this finishes or is dropped, before the next
+    chunk's is drawn."""
     phase, counts = np.ones(len(rngs)), None  # per walk: one real coin for every step
     if mode == "broken_links":
         # per link, how many of ps exceed its uniform: each p, largest first,
@@ -206,11 +215,9 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     for i, p in enumerate(ps):
         if mode == "random_phase":  # exp(i zeta) once, of zeta reduced as the coin's
             phase = np.exp(1j * _reduced(0.0, 0.0, np.where(accept < p, angles, 0.0))[2])
-        elif counts is not None and i:  # every nonzero count steps down to this p
+        elif i:  # every nonzero count steps down to this p
             for count in counts:  # a walk at a time, so that the flags stay small
                 np.subtract(count, count != 0, out=count)
         for theta in thetas:  # this theta's coins and amplitudes go before the next's come
-            a, b = propagate(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken=counts)
-            probs = np.abs(a) ** 2 + np.abs(b) ** 2
-            del a, b
-            yield probs
+            yield _probs(*propagate(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n,
+                                    broken=counts))

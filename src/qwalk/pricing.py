@@ -41,7 +41,8 @@ __all__ = [
     "normalized_returns",
 ]
 
-#: reserved spawn key for the lattice-scale calibration stream of price paths
+#: seed offset of the lattice-scale calibration ensemble of decoherent price
+#: paths: its realization r draws from SeedSequence(seed + 2**32, spawn_key=(r,))
 _CALIBRATION_KEY = 2**32
 #: ensemble size used to calibrate dx for decoherent price paths
 _CALIBRATION_REALIZATIONS = 200
@@ -121,11 +122,9 @@ class QwPriceModel:
             raise ValueError("dt_per_step must be positive")
         if not math.isfinite(self.horizon):
             raise ValueError("the horizon steps_per_horizon * dt_per_step must be finite")
-        if self.decoherence.mode != "none" and self.angles.eta != 0.0:
-            raise ValueError(
-                "decoherent walks are defined for the single-angle coin family; "
-                "use angles with xi == zeta"
-            )
+        if self.decoherence.p and self.angles.eta != 0.0:  # p = 0 is the unitary walk
+            raise ValueError("decoherent walks (p > 0) are defined for the single-angle "
+                             "coin family; use angles with xi == zeta")
 
     @property
     def horizon(self) -> float:
@@ -146,18 +145,11 @@ class ReturnDistribution:
 def _model_distribution(
     model: QwPriceModel, seed: int, realizations: int
 ) -> PositionDistribution:
-    if model.decoherence.mode == "none":
+    if not model.decoherence.p:  # noiseless: the one unitary walk of the model's coin
         state = evolve(model.ic, make_su2_coin(model.angles), model.steps_per_horizon)
         return position_distribution(state)
-    result = run_ensemble(
-        model.ic,
-        model.angles.theta,
-        model.decoherence,
-        model.steps_per_horizon,
-        realizations,
-        seed,
-    )
-    return result.mean
+    return run_ensemble(model.ic, model.angles.theta, model.decoherence,
+                        model.steps_per_horizon, realizations, seed).mean
 
 
 def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
@@ -227,20 +219,19 @@ def qw_price_path(
 ) -> np.ndarray:
     """Price series at horizon boundaries, length ``total_steps`` + 1.
 
-    Each horizon evolves a fresh walk (an independent stochastic realization
-    when decoherence is active), samples one terminal site from its position
-    distribution and compounds S <- S * exp(r_site).  Horizon h draws from
-    the stream ``SeedSequence(seed, spawn_key=(h,))``, so paths are
-    deterministic and horizons are order-independent.
+    Each horizon samples one terminal site from the position distribution of
+    a walk and compounds S <- S * exp(r_site).  Horizon h draws from the
+    stream ``SeedSequence(seed, spawn_key=(h,))``, so paths are deterministic
+    and horizons are order-independent.  At p > 0 the walk is realization h
+    of the ensemble engine, whose noise that stream draws first; at p = 0, in
+    any mode, it is the one unitary walk, walked once, which also calibrates.
     """
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
     _check_lattice_scale(lattice_scale)
-    # a unitary walk is the same every horizon: walked once, it also calibrates
-    unitary = _model_distribution(model, seed, 1) if model.decoherence.mode == "none" else None
+    spec = model.decoherence
+    unitary = None if spec.p else _model_distribution(model, seed, 1)
     if lattice_scale is None:
-        # calibration stream is offset from the horizon streams so the two
-        # never alias for any horizon index
         calibration = unitary if unitary is not None else _model_distribution(
             model, seed=seed + _CALIBRATION_KEY, realizations=_CALIBRATION_REALIZATIONS)
         lattice_scale = _lattice_scale(model, calibration)
@@ -249,18 +240,19 @@ def qw_price_path(
     n = model.steps_per_horizon
     sites = np.arange(-n, n + 1)
     prices = [model.s0]
-    # horizon h is realization h of the ensemble engine: its stream draws the
-    # walk's noise, then samples the walk
-    spec = model.decoherence
-    for rngs, walks in decoherence._chunks(
-            model.ic, [model.angles.theta], spec.mode, [spec.p], n, total_steps, seed):
-        probs = next(walks) if unitary is None else [unitary.probs] * len(rngs)
-        for rng, p in zip(rngs, probs):
-            j = int(rng.choice(sites, p=p / p.sum()))
-            r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
-            prices.append(prices[-1] * math.exp(r))
-            if not 0.0 < prices[-1] < math.inf:  # overflowed, or underflowed to 0
-                raise ValueError(f"price at horizon {len(prices) - 1} is {prices[-1]}")
+    if unitary is None:
+        chunks = decoherence._chunks(
+            model.ic, [model.angles.theta], spec.mode, [spec.p], n, total_steps, seed)
+        horizons = ((rng, p) for rngs, walks in chunks for rng, p in zip(rngs, next(walks)))
+    else:
+        horizons = ((decoherence.realization_rng(seed, h), unitary.probs)
+                    for h in range(total_steps))
+    for rng, p in horizons:
+        j = int(rng.choice(sites, p=p / p.sum()))
+        r = model.mu * model.horizon + model.sigma * f_val * lattice_scale * j
+        prices.append(prices[-1] * math.exp(r))
+        if not 0.0 < prices[-1] < math.inf:  # overflowed, or underflowed to 0
+            raise ValueError(f"price at horizon {len(prices) - 1} is {prices[-1]}")
     return np.array(prices)
 
 

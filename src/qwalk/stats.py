@@ -63,18 +63,16 @@ def moments(dist: PositionDistribution) -> SummaryStats:
     exact sum has no use for zero terms, so this equals summing over all
     sites whenever the probabilities are finite."""
     (mean,), (k2,), (k3,) = _cumulants(dist.sites.astype(float), dist.probs[None])
-    denom = k2**1.5  # underflows to 0 for denormal variances
-    if denom > 0.0:
-        skew = k3 / denom
-        defined = True
-    else:
-        skew = float("nan")
-        defined = False
     nz = dist.probs[dist.probs > 0.0]
     entropy = -math.fsum((nz * np.log(nz)).tolist())
-    return SummaryStats(
-        mean=mean, variance=k2, skewness=skew, entropy=entropy, skewness_defined=defined
-    )
+    return SummaryStats(mean=mean, variance=k2, skewness=_skewness(k2, k3), entropy=entropy,
+                        skewness_defined=k2**1.5 > 0.0)
+
+
+def _skewness(k2: float, k3: float) -> float:
+    """k3 / k2^1.5, or NaN where k2^1.5 is not positive (0 for a denormal k2)."""
+    denom = k2**1.5
+    return k3 / denom if denom > 0.0 else math.nan
 
 
 def _cumulants(sites: np.ndarray, probs: np.ndarray) -> tuple[list, list, list]:

@@ -238,10 +238,7 @@ def _grid_probs(ic: InitialCoinState, pairs, n: int):
     while chunk := list(itertools.islice(pairs, _GRID_CHUNK)):
         coins = _coins(*np.array(chunk, dtype=float).T, 0.0)  # xi, theta and zeta = 0
         _check_unitary(coins)
-        a, b = propagate(ic.a0, ic.b0, coins, n)
-        probs = np.abs(a) ** 2 + np.abs(b) ** 2
-        del a, b  # freed before the next chunk propagates
-        yield probs
+        yield _probs(*propagate(ic.a0, ic.b0, coins, n))  # the amplitudes go at once
 
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:
@@ -252,5 +249,9 @@ def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:
 
 def position_distribution(state: WalkState) -> PositionDistribution:
     """Squared amplitudes P_j = |a_j|^2 + |b_j|^2 over the support."""
-    probs = np.abs(state.a) ** 2 + np.abs(state.b) ** 2
-    return PositionDistribution(n=state.n, probs=probs)
+    return PositionDistribution(n=state.n, probs=_probs(state.a, state.b))
+
+
+def _probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 elementwise: the position probabilities of every walk."""
+    return np.abs(a) ** 2 + np.abs(b) ** 2

@@ -619,6 +619,13 @@ def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
                    "(n^2 per walk or realization)\n" if warned else "")
 
 
+def test_repeated_probabilities_are_counted_once(capsys):
+    # the sweep walks a repeated p once: 1e5 realizations of n^2 = 1e4 site
+    # updates, not 200 times that
+    parse_config(dict(DECOHERENCE_DOC, n=100, p_values=[0.1] * 200, realizations=10**5))
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("model", [
     dict(PRICE_DOC["model"], coin={"theta": 0.0}, initial_state="up"),  # a point-mass walk
     dict(PRICE_DOC["model"], mu=1e12),  # exp(r) past the float range

@@ -40,6 +40,8 @@ def test_spec_validation():
         DecoherenceSpec("weird")
     with pytest.raises(ValueError):
         DecoherenceSpec.broken_links(1.5)
+    with pytest.raises(ValueError, match=r"none p must be in \[0, 0\]"):
+        DecoherenceSpec("none", 0.5)  # mode "none" names p = 0 and no other p
     assert DecoherenceSpec.none().mode == "none"
 
 

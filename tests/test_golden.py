@@ -16,7 +16,10 @@ means rescaled to the classical peak.  Their digests were recorded before
 the broken-link engine and the price-path horizons were batched.  The two
 ``_200`` variants run 200 realizations, so every ensemble spans two chunks
 of 128 walks; their digests were recorded before the ensembles, theta
-sweeps and price-path horizons shared one chunk loop.
+sweeps and price-path horizons shared one chunk loop.  The two
+``price_path_unitary`` variants, the second with a coin whose xi and zeta
+differ, cover the noiseless price path; their digests were recorded before
+every p = 0 price path took that path.
 
 ``META`` pins each run's ``meta.json``, the echo of the effective config,
 so a change to how configs are parsed cannot alter what a run records about
@@ -71,6 +74,18 @@ VARIANTS = {
         200,
         "3352110198e380cc99aee022e1be311c2adfc5b40053db908c79c4e94335fa23",
     ),
+    "price_path_unitary": (
+        "price_path", {"model.decoherence": {"mode": "none"}},
+        64,
+        "5c85cccadf96f5ec9872cadd135cbafa711f799f3f2d9094231a1b659419da8b",
+    ),
+    "price_path_unitary_coin": (
+        "price_path",
+        {"model.decoherence": {"mode": "none"},
+         "model.coin": {"xi": 0.8, "theta": 1.1, "zeta": 0.3}},
+        64,
+        "76d31e13e7a4b070cb4e660212deeef892e1bd771a83986b86b18f2c517f1ac7",
+    ),
 }
 
 
@@ -91,6 +106,9 @@ META = {
     "heatmap_variance": "ebb23693f438cddce389046d2b7259ada0af23a7c36374a40a781b30786b607f",
     "price_path": "12c85f4257440e650d4f24e73777425421a1abebdbdf58f5aab03f7c4c6d6065",
     "price_path_random_phase": "dd7d0630788c3c7c8d3d0e2571304571ddd8a038a071400e6329db842934d561",
+    "price_path_unitary": "b4cd0385c72130d5fec3b14c070a435e9998c9ee92d9f5ce95edacd051839a03",
+    "price_path_unitary_coin":
+        "acff0804880b31cc546158928f79a20317e4614299b1c18c5d2eb684fe5ede5a",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import replay_walk
+from test_golden import CONFIG_DIR, VARIANTS, _digests, _with_changes
 from qwalk import decoherence, pricing
 from qwalk.classical import (
     GbmParams,
@@ -137,6 +139,9 @@ def test_model_validation():
         angles=CoinAngles(0.5, math.pi / 4, 0.5),
         decoherence=DecoherenceSpec.broken_links(0.1),
     )
+    # so is any coin at p = 0, the unitary walk
+    model_with(angles=CoinAngles(0.7, math.pi / 4, 0.0),
+               decoherence=DecoherenceSpec.random_phase(0.0))
 
 
 # --------------------------------------------------- return distribution
@@ -332,13 +337,13 @@ def _walked(monkeypatch, call):
 
     def recording(*args):
         for probs in chunk_walks(*args):
-            walked.append(probs)
+            walked.extend(probs)
             yield probs
 
     monkeypatch.setattr(decoherence, "_chunk_walks", recording)
     call()
     monkeypatch.undo()
-    return np.concatenate(walked)
+    return np.array(walked)
 
 
 @pytest.mark.parametrize("horizons", [1, 128, 129, 300])
@@ -371,6 +376,21 @@ def test_phase_horizons_equal_ensemble_realizations_bitwise(count, monkeypatch):
     got = _walked(monkeypatch, lambda: qw_price_path(model, count, 21, 0.07))
     want = _walked(monkeypatch, lambda: run_ensemble(model.ic, 1.1, spec, 40, count, 21))
     assert got.shape == (count, 81) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["price_path_unitary", "price_path_unitary_coin"])
+@pytest.mark.parametrize("spec", [
+    {"mode": "broken_links", "p": 0.0}, {"mode": "random_phase", "p_tilde": 0.0},
+], ids=["broken_links", "random_phase"])
+def test_zero_probability_price_path_is_the_unitary_one(spec, variant, tmp_path, monkeypatch):
+    # p = 0 is the unitary walk, under any coin: the bytes of the mode "none"
+    # variant, with no noisy chunk walked
+    base, changes, realizations, digest = VARIANTS[variant]
+    doc = json.loads((CONFIG_DIR / f"{base}.json").read_text(encoding="utf-8"))
+    doc = _with_changes(doc, dict(changes, **{"model.decoherence": spec}))
+    csv = []
+    walked = _walked(monkeypatch, lambda: csv.append(_digests(doc, tmp_path, realizations)[0]))
+    assert csv == [digest] and len(walked) == 0
 
 
 # ------------------------------------------------------- normalized returns
