@@ -46,8 +46,8 @@ from .walk import (
     DOWN_IC,
     SYMMETRIC_IC,
     UP_IC,
-    _GRID_CHUNK,
     InitialCoinState,
+    _grid_cost,
     _grid_probs,
     evolve,
     position_distribution,
@@ -269,22 +269,6 @@ def _exclude_half_pi(theta_stop: float, path: str):
         raise ConfigError(path, "theta = pi/2 is excluded")
 
 
-def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
-    """An upper bound on the bytes a batch of ``n``-step walks holds at once:
-    eight (2n+1, batch) complex arrays, plus for broken-link walks the
-    (batch, n, 2n+2) count mask of ``count_bytes`` a link (how many swept p
-    break it: one byte up to 255 p) and one step's swap scratch of 41 bytes
-    per link (a flag copy, an int64 index and two complex values).
-    ``propagate`` steps four buffers of at most 2n+1 rows (n+1 on the
-    occupied sublattice) with up to four coin tiles of at most 2n-1 rows (n on
-    the sublattice); it frees two buffers and the tiles before it allocates
-    its two (batch, 2n+1) results.  A random-phase chunk has per-step coins
-    instead of tiles: 128n bytes a walk with their contiguous copy, beside
-    40n bytes of uniforms, angles and phases."""
-    links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
-    return batch * (128 * (2 * n + 1) + links)
-
-
 def _rows_bytes(factors: dict) -> tuple[str, int]:
     """(path of the largest factor, bytes) of an output table whose row
     count is the product of ``factors``."""
@@ -376,7 +360,8 @@ def _parse_heatmap(doc, _realizations):
     eta, theta = (_parse_range(g[key], f"grid.{key}", _angle=True) for key in ("eta", "theta"))
     _exclude_half_pi(theta[1], "grid.theta.stop")
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    _check_size(eta[2] * theta[2] * n**2, ("n", _walk_bytes(n, _GRID_CHUNK)),
+    updates, batch = _grid_cost(eta[2] * theta[2], n)
+    _check_size(updates, ("n", batch),
                 _rows_bytes({"grid.eta.count": eta[2], "grid.theta.count": theta[2]}))
     return statistic, n, eta, theta, ic
 
@@ -390,17 +375,13 @@ def _parse_entropy(doc, realizations):
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
+    updates, batch, series = zip(*(decoherence._sweep_cost(  # one sweep per n
+        "random_phase", p_tildes, n, realizations, theta_grid[2]) for n in n_values))
     widest = max(range(len(n_values)), key=n_values.__getitem__)
-    noisy, noiseless = decoherence._walks(p_tildes, n_values[widest])
-    # a sweep ends with up to six (2n+1) float rows per theta and noisy p_tilde
-    sweep = 48 * theta_grid[2] * (2 * n_values[widest] + 1) * max(1, len(noisy))
-    _check_size(
-        theta_grid[2] * (len(noisy) * realizations + noiseless) * sum(n**2 for n in n_values),
-        (f"n_values[{widest}]", _walk_bytes(n_values[widest], decoherence._CHUNK)),
-        ("theta_grid.count", sweep),
-        _rows_bytes({"theta_grid.count": theta_grid[2],
-                     "n_values": len(n_values) * (len(p_tildes) + 2)}),
-    )
+    _check_size(sum(updates), (f"n_values[{widest}]", batch[widest]),
+                ("theta_grid.count", series[widest]),
+                _rows_bytes({"theta_grid.count": theta_grid[2],
+                             "n_values": len(n_values) * (len(p_tildes) + 2)}))
     return theta_grid, n_values, p_tildes, ic, *flags
 
 
@@ -412,11 +393,8 @@ def _parse_decoherence(doc, realizations):
     p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
     to_classical = _boolean(doc, "normalize_to_classical", False)
-    noisy, noiseless = decoherence._walks(p_values, n)
-    count_bytes = np.min_scalar_type(len(noisy)).itemsize  # the sweep's link counts
-    _check_size((len(noisy) * realizations + noiseless) * n**2,
-                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes)),
-                ("p_values", 48 * (2 * n + 1) * max(1, len(noisy))),
+    updates, batch, series = decoherence._sweep_cost("broken_links", p_values, n, realizations)
+    _check_size(updates, ("n", batch), ("p_values", series),
                 _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
     return n, theta, p_values, ic, to_classical
 
@@ -441,10 +419,8 @@ def _parse_compare_returns(doc, realizations):
                 _number(g, "sigma", "gaussian", default=1.0))
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
-    noisy, noiseless = decoherence._walks([p], n)
-    _check_size((len(noisy) * realizations + noiseless) * n**2,
-                ("n", _walk_bytes(n, decoherence._CHUNK, count_bytes=len(noisy))),  # 1 at p > 0
-                _rows_bytes({"axis.bins": axis[2]}))
+    updates, batch, _ = decoherence._sweep_cost("broken_links", [p], n, realizations)
+    _check_size(updates, ("n", batch), _rows_bytes({"axis.bins": axis[2]}))
     return n, p, axis, theta, ic, stable, gaussian
 
 
@@ -484,14 +460,10 @@ def _parse_price_path(doc, _realizations):
     n, spec = model.steps_per_horizon, model.decoherence
     # a unitary walk serves every horizon; a stochastic one is walked per
     # horizon and per calibration realization
-    noisy, noiseless = decoherence._walks([spec.p], n)
-    broken = int(bool(noisy) and spec.mode == "broken_links")
-    _check_size(
-        (len(noisy) * (horizons + pricing._CALIBRATION_REALIZATIONS) + noiseless) * n**2,
-        ("model.steps_per_horizon",
-         _walk_bytes(n, decoherence._CHUNK if noisy else 1, count_bytes=broken)),
-        _rows_bytes({"horizons": horizons + 1}),
-    )
+    updates, batch, _ = decoherence._sweep_cost(
+        spec.mode, [spec.p], n, horizons + pricing._CALIBRATION_REALIZATIONS)
+    _check_size(updates, ("model.steps_per_horizon", batch),
+                _rows_bytes({"horizons": horizons + 1}))
     return model, horizons
 
 
@@ -537,11 +509,6 @@ def cmd_heatmap(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _uniform_entropy(n: int) -> float:
-    # uniform over the n+1 parity-allowed sites of an origin-started walk
-    return math.log(n + 1) if n > 0 else 0.0
-
-
 def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     """Entropy-vs-theta curves per n and per p_tilde, with classical-walk
     and uniform reference rows."""
@@ -561,7 +528,7 @@ def cmd_entropy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
             for theta in thetas:
                 rows.append(["classical", n, 0.0, float(theta), h_classical])
         if include_uniform:
-            h_uniform = _uniform_entropy(n)
+            h_uniform = math.log(n + 1)  # uniform over the n+1 parity-allowed sites
             for theta in thetas:
                 rows.append(["uniform", n, 0.0, float(theta), h_uniform])
     return header, rows

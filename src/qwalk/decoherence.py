@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coin import TWO_PI, _coins, _reduced
-from .walk import (InitialCoinState, PositionDistribution, _check_integer, _grid_probs,
-                   _probs, propagate)
+from .walk import (InitialCoinState, PositionDistribution, _check_integer, _grid_cost,
+                   _grid_probs, _probs, _walk_bytes, propagate)
 
 __all__ = [
     "DecoherenceSpec",
@@ -182,6 +182,20 @@ def _walks(ps, n: int) -> tuple[list, bool]:
     ``n`` is): the noisy and the unitary walks of a sweep, per theta."""
     noisy = sorted({p for p in ps if p}, reverse=True) if n else []
     return noisy, not n or 0.0 in ps
+
+
+def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
+    """(site updates, bytes of one batch, bytes of the finished series) of
+    :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: each
+    noisy p walks n^2 per realization and theta in batches of ``_CHUNK``, with
+    :func:`_chunk_walks`' count mask for broken links, the unitary series costs
+    its ``_grid_cost``, and six (2n+1) float rows stay per theta and noisy p."""
+    noisy, noiseless = _walks(ps, n)
+    updates, batch = _grid_cost(thetas * noiseless, n)
+    counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
+    chunk = _walk_bytes(n, _CHUNK, counts) if noisy else 0
+    return (updates + thetas * len(noisy) * realizations * n**2, max(batch, chunk),
+            48 * thetas * (2 * n + 1) * max(1, len(noisy)))
 
 
 def _chunks(ic, thetas, mode, ps, n, realizations, seed):

@@ -189,6 +189,18 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     return a_out, b_out
 
 
+def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
+    """An upper bound on the bytes one :func:`propagate` call over ``batch``
+    ``n``-step walks holds at once: eight (2n+1, batch) complex arrays cover
+    its four step buffers and up to four coin tiles (two buffers and the tiles
+    go before its two results come), or a random-phase chunk's per-step coins,
+    their copy, uniforms, angles and phases (168n bytes a walk).  Broken links
+    add the (batch, n, 2n+2) count mask of ``count_bytes`` a link and 41 bytes
+    a link of swap scratch (a flag copy, an int64 index and two complex values)."""
+    links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
+    return batch * (128 * (2 * n + 1) + links)
+
+
 def _coin_operands(coins, n: int, full: bool):
     """Per step, the operands (c00, c01, c10, c11) of :func:`propagate`'s
     products, over windows of width (1 + full) k + 1 and B columns.
@@ -239,6 +251,12 @@ def _grid_probs(ic: InitialCoinState, pairs, n: int):
         coins = _coins(*np.array(chunk, dtype=float).T, 0.0)  # xi, theta and zeta = 0
         _check_unitary(coins)
         yield _probs(*propagate(ic.a0, ic.b0, coins, n))  # the amplitudes go at once
+
+
+def _grid_cost(walks: int, n: int) -> tuple[int, int]:
+    """(site updates, bytes of one batch) of :func:`_grid_probs` over ``walks``
+    pairs: n^2 a walk, in batches of min(walks, ``_GRID_CHUNK``) walks."""
+    return walks * n**2, _walk_bytes(n, min(walks, _GRID_CHUNK))
 
 
 def evolve(ic: InitialCoinState, coin: CoinOperator, n: int) -> WalkState:

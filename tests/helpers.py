@@ -3,7 +3,9 @@
 Both evolution oracles deliberately avoid the site recurrence used by the
 package: one sums amplitudes over every coin-toss path, the other applies
 the explicit shift-after-coin operator matrix.  Agreement between three
-structurally different routes pins the dynamics down.
+structurally different routes pins the dynamics down.  A further
+reference, ``spectral_walk``, raises the one-step matrix in momentum space
+to the n-th power, so it reaches the large n where those two cannot.
 
 Two further references stand in for figure readings: the weak (n -> infinity)
 limit of the walk, from the eigenvectors of the k-space step and from Konno's
@@ -89,6 +91,32 @@ def operator_matrix_evolve(a0, b0, coin: np.ndarray, n: int):
     for _ in range(n):
         psi = v_op @ psi
     return psi[1 : width - 1], psi[width + 1 : 2 * width - 1]
+
+
+def spectral_walk(a0, b0, coins, n: int):
+    """Amplitudes of B walks after ``n`` steps from momentum space, for large n.
+
+    On the N = 2n+1 momenta k = 2 pi m / N the step is the 2 x 2 matrix
+    S(k) C, S(k) = diag(e^{-ik}, e^{ik}) (the up output moves right, the
+    down output left), and the walk started at site 0 is
+    psi_n(k) = (S(k) C)^n (a0, b0).  The power is taken by repeated squaring
+    and one inverse DFT returns to the sites [-n, +n]; the support of N sites
+    fits the ring, so nothing wraps.  ``coins``: (B, 2, 2).  Returns (a, b),
+    each (B, 2n+1).
+    """
+    size = 2 * n + 1
+    k = 2.0 * math.pi * np.arange(size) / size
+    shift = np.stack([np.exp(-1j * k), np.exp(1j * k)], axis=-1)  # (N, 2)
+    base = shift[None, :, :, None] * np.asarray(coins, dtype=complex)[:, None]  # (B, N, 2, 2)
+    power = np.broadcast_to(np.eye(2, dtype=complex), base.shape).copy()
+    while n:
+        if n & 1:
+            power = power @ base
+        base = base @ base
+        n >>= 1
+    psi = np.fft.ifft(power @ np.array([a0, b0], dtype=complex), axis=1)  # site m at row m mod N
+    a, b = np.fft.fftshift(psi, axes=1).transpose(2, 0, 1)  # rows -n .. n
+    return a, b
 
 
 def binomial_probs(n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk import cli, decoherence
+from qwalk import cli, decoherence, walk
 from qwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -533,12 +533,30 @@ def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeyp
     ("random_phase_per_step_coins", None),
     ("random_phase_sweep", [0.0, 0.9, 0.1, 0.5]),
     ("broken_links_sweep", [0.0, 0.9, 0.1, 0.5, 0.1]),
+    # noiseless runs, charged the unitary walks they take: a sweep over p = 0
+    # at p thetas, and a grid of p cells
+    ("unitary_sweep", 1),
+    ("unitary_sweep", 3),
+    ("unitary_sweep", 100),
+    ("unitary_grid", 4),
 ])
 def test_walk_bytes_bounds_one_propagate_call(case, p):
     n, walks = 20, 64
     rng = np.random.default_rng(4)
     sweep = 0
-    if case.endswith("_sweep"):
+    if case.startswith("unitary"):
+        # at n = 20 a lone walk's fixed Python objects (about 14 KB) outweigh
+        # its 128 (2n+1) = 5 KB of arrays; at n = 200 the arrays dominate
+        n, held = 200, 0
+        if case == "unitary_sweep":
+            _, batch, sweep = decoherence._sweep_cost("broken_links", [0.0], n, walks, thetas=p)
+            thetas = np.linspace(0.1, 1.4, p)
+            run = lambda: decoherence._sweep(SYMMETRIC_IC, thetas, "broken_links", [0.0], n,
+                                             walks, 4)
+        else:
+            _, batch = walk._grid_cost(p, n)
+            run = lambda: list(_grid_probs(SYMMETRIC_IC, rng.uniform(0, 1.5, (p, 2)), n))
+    elif case.endswith("_sweep"):
         # a whole one-chunk sweep over the p list: it draws once, walks each
         # nonzero p at every theta and holds all their series, which the
         # parsers' sweep term bounds
@@ -567,7 +585,9 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held + peak <= cli._walk_bytes(n, walks, int(case.startswith("broken"))) + sweep
+    if not case.startswith("unitary"):
+        batch = walk._walk_bytes(n, walks, int(case.startswith("broken")))
+    assert held + peak <= batch + sweep
 
 
 @pytest.mark.parametrize("ic, theta", [
@@ -624,6 +644,54 @@ def test_repeated_probabilities_are_counted_once(capsys):
     # updates, not 200 times that
     parse_config(dict(DECOHERENCE_DOC, n=100, p_values=[0.1] * 200, realizations=10**5))
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("doc", [
+    # each takes at most four unitary walks (at most 154 MB), once charged as
+    # a whole batch of 64 or 128 walks: over 2 GiB
+    dict(COMPARE_DOC, n=70_000, p=0.0),
+    dict(DECOHERENCE_DOC, n=3000, p_values=[0.0]),
+    dict(ENTROPY_DOC, n_values=[70_000], p_tilde_values=[0.0]),  # 4 thetas
+    dict(HEATMAP_DOC, n=150_000),  # 2 x 2 cells
+])
+def test_noiseless_runs_are_charged_the_walks_they_take(capsys, doc):
+    parse_config(doc)
+    assert capsys.readouterr().err == ""
+
+
+PHASE_MODEL = dict(PRICE_DOC["model"], decoherence={"mode": "random_phase", "p_tilde": 0.3})
+BROKEN_MODEL = dict(PRICE_DOC["model"], decoherence={"mode": "broken_links", "p": 0.2})
+
+
+@pytest.mark.parametrize("doc", [
+    dict(ENTROPY_DOC, n_values=[10, 0, 6], p_tilde_values=[0.0, 0.1, 0.1]),
+    DECOHERENCE_DOC,  # p_values [0.0, 0.4]
+    dict(DECOHERENCE_DOC, p_values=[0.0]),
+    dict(COMPARE_DOC, p=0.0),
+    COMPARE_DOC,  # p = 0.3
+    PRICE_DOC,  # mode none
+    dict(PRICE_DOC, model=BROKEN_MODEL),
+    dict(PRICE_DOC, model=PHASE_MODEL),
+    dict(HEATMAP_DOC, grid={"eta": dict(GRID["eta"], count=9),
+                            "theta": dict(GRID["theta"], count=8)}),  # 72 cells: two batches
+    DIST_DOC,
+])
+def test_announced_work_equals_walked_work(monkeypatch, doc):
+    announced, walked = [], []
+
+    def check_size(site_updates, *costs):
+        announced.append(site_updates)
+
+    def counted(a0, b0, coins, n, broken=None):
+        walked.append(np.shape(coins)[-3] * n**2)
+        return propagate(a0, b0, coins, n, broken)
+
+    monkeypatch.setattr(cli, "_check_size", check_size)
+    for module in (walk, decoherence):  # every engine's binding of the kernel
+        monkeypatch.setattr(module, "propagate", counted)
+    cfg = make_cfg(doc)
+    cli._COMMANDS[cfg.experiment](cfg)
+    assert announced == [sum(walked)] and sum(walked) > 0
 
 
 @pytest.mark.parametrize("model", [

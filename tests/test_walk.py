@@ -14,9 +14,10 @@ from helpers import (
     operator_matrix_evolve,
     random_ic,
     sites,
+    spectral_walk,
     step_unitary,
 )
-from qwalk.coin import CoinAngles, make_su2_coin, make_theta_coin
+from qwalk.coin import CoinAngles, _coins, make_su2_coin, make_theta_coin
 from qwalk.stats import moments
 from qwalk.walk import (
     SYMMETRIC_IC,
@@ -292,6 +293,20 @@ def test_propagate_matches_operator_matrix_oracle():
     a_op, b_op = operator_matrix_evolve(UP_IC.a0, UP_IC.b0, coin.matrix, 40)
     np.testing.assert_allclose(a[0], a_op, atol=1e-12, rtol=0)
     np.testing.assert_allclose(b[0], b_op, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n, xi, theta, zeta", [
+    (2000, [0.0, 0.3, 1.3, 2.9, 0.0], [np.pi / 4, 0.5, 1.1, 0.2, 1.5], [0.0, 0.7, 0.2, 5.0, 0.0]),
+    # theta = pi/4 would slow propagate fourfold here: its tails run subnormal
+    (10_000, [0.4], [1.1], [0.2]),
+])
+def test_propagate_matches_the_spectral_reference_at_large_n(n, xi, theta, zeta):
+    coins = _coins(np.array(xi), np.array(theta), np.array(zeta))
+    ic = InitialCoinState(0.36 + 0.48j, 0.48 - 0.64j)
+    probs = [np.abs(a) ** 2 + np.abs(b) ** 2 for a, b in (
+        propagate(ic.a0, ic.b0, coins, n), spectral_walk(ic.a0, ic.b0, coins, n))]
+    assert probs[0].shape == (len(theta), 2 * n + 1)
+    np.testing.assert_allclose(probs[0], probs[1], atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("n", [-1, -3])
