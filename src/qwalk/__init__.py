@@ -26,7 +26,6 @@ from .stats import (
 from .classical import (
     GbmParams,
     QuadratureError,
-    QuadratureSpec,
     StableParams,
     classical_rw_distribution,
     gaussian_pdf,

@@ -7,12 +7,13 @@ The stable density is recovered from its characteristic function
     w = tan(pi alpha / 2) for alpha != 1,  w = -(2/pi) ln|t| for alpha = 1,
 
 through the real-part cosine form f(x) = (1/pi) Int_0^inf Re[e^{-ixt} phi(t)] dt.
-|phi(t)| = exp(-|ct|^alpha) supplies a computable truncation point.  Two
-quadrature regimes cover the axis: adaptive panels with a doubling
-self-check for moderate oscillation counts, and half-period summation with
-repeated-averaging acceleration for the far tails, where panel quadrature
-would need billions of nodes.  Both raise :class:`QuadratureError` instead
-of returning an unverified value.
+The quadrature is fixed.  |phi(t)| = exp(-|ct|^alpha) supplies a computable
+truncation point: the integral stops where |phi| < 1e-16.  Two regimes cover
+the axis, each aiming at an absolute error of 1e-9 per value: adaptive panels
+with a doubling self-check up to 4e4 oscillation cycles, and past that
+half-period summation with repeated-averaging acceleration for the far
+tails, where panel quadrature would need billions of nodes.  Both raise
+:class:`QuadratureError` instead of returning an unverified value.
 
 The parameter convention follows the characteristic function above
 verbatim (the "S1"-style parameterization); no conversion to other
@@ -32,7 +33,6 @@ from .walk import PositionDistribution, _check_integer
 __all__ = [
     "GbmParams",
     "StableParams",
-    "QuadratureSpec",
     "QuadratureError",
     "gbm_terminal_samples",
     "gbm_path",
@@ -46,6 +46,16 @@ __all__ = [
 ALPHA_ONE_EPS = 1e-8
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+
+# The fixed quadrature: _TOL is the absolute target for one density value;
+# _TAIL_EPS sets the truncation point T through |phi(T)| = _TAIL_EPS; more than
+# _MAX_DIRECT_CYCLES oscillations switch to the accelerated half-period path.
+_TOL = 1e-9
+_TAIL_EPS = 1e-16
+_MAX_REFINEMENTS = 14
+_MAX_DIRECT_CYCLES = 4.0e4
+_ACCEL_MIN_TERMS = 32
+_ACCEL_MAX_TERMS = 4000
 
 
 class QuadratureError(RuntimeError):
@@ -85,34 +95,6 @@ class StableParams:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
         if not self.c > 0:  # written so that NaN fails it, as the two above do
             raise ValueError(f"scale c must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the characteristic-function inversion.
-
-    ``tol`` is the absolute target for one density value, checked by panel
-    doubling; ``tail_eps`` sets the truncation point T through
-    |phi(T)| = tail_eps; oscillation counts above ``max_direct_cycles``
-    switch to the accelerated half-period path.
-    """
-
-    tol: float = 1e-9
-    tail_eps: float = 1e-16
-    max_refinements: int = 14
-    max_direct_cycles: float = 4.0e4
-    accel_min_terms: int = 32
-    accel_max_terms: int = 4000
-
-    def cutoff(self, params: StableParams) -> float:
-        """Truncation point T with |phi(T)| = tail_eps, which must be finite."""
-        try:
-            t_cut = (-math.log(self.tail_eps)) ** (1.0 / params.alpha) / params.c
-        except OverflowError:  # a tiny alpha; a tiny c gives inf
-            t_cut = math.inf
-        if t_cut == math.inf:
-            raise QuadratureError(f"truncation point overflows: {params}")
-        return t_cut
 
 
 def gbm_terminal_samples(
@@ -187,9 +169,7 @@ def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def stable_pdf(
-    x: float, params: StableParams, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+def stable_pdf(x: float, params: StableParams) -> float:
     """Density f(x) by numerical inversion of the characteristic function.
 
     Negative quadrature residue is clamped to zero.  Raises
@@ -199,13 +179,24 @@ def stable_pdf(
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    t_cut = quad.cutoff(params)
+    t_cut = _cutoff(params)
     cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
-    if cycles <= quad.max_direct_cycles:
-        value = _invert_direct(x, params, quad, t_cut, cycles)
+    if cycles <= _MAX_DIRECT_CYCLES:
+        value = _invert_direct(x, params, t_cut, cycles)
     else:
-        value = _invert_accelerated(x, params, quad, t_cut)
+        value = _invert_accelerated(x, params, t_cut)
     return max(value, 0.0)
+
+
+def _cutoff(params: StableParams) -> float:
+    """Truncation point T with |phi(T)| = _TAIL_EPS, which must be finite."""
+    try:
+        t_cut = (-math.log(_TAIL_EPS)) ** (1.0 / params.alpha) / params.c
+    except OverflowError:  # a tiny alpha; a tiny c gives inf
+        t_cut = math.inf
+    if t_cut == math.inf:
+        raise QuadratureError(f"truncation point overflows: {params}")
+    return t_cut
 
 
 def _cos_integrand(t: np.ndarray, x: float, params: StableParams) -> np.ndarray:
@@ -230,9 +221,7 @@ def _graded_edges(lo: float, hi: float, levels: int = 54) -> np.ndarray:
     return np.concatenate([[lo], lo + steps, [hi]])
 
 
-def _invert_direct(
-    x: float, params: StableParams, quad: QuadratureSpec, t_cut: float, cycles: float
-) -> float:
+def _invert_direct(x: float, params: StableParams, t_cut: float, cycles: float) -> float:
     f = lambda t: _cos_integrand(t, x, params)
     n = max(16, int(math.ceil(2.0 * cycles)))
 
@@ -242,12 +231,12 @@ def _invert_direct(
         return head + _panel_integrate(f, np.linspace(first, t_cut, n_panels))
 
     prev = total(n)
-    for _ in range(quad.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         n *= 2
         cur = total(n)
-        if abs(cur - prev) < quad.tol:
+        if abs(cur - prev) < _TOL:
             tail = _panel_integrate(f, np.linspace(t_cut, 2.0 * t_cut, 65))
-            if abs(tail) > max(10.0 * quad.tol, 1e-8):
+            if abs(tail) > max(10.0 * _TOL, 1e-8):
                 raise QuadratureError(
                     f"truncation self-check failed at x={x}: doubling the "
                     f"cutoff moves the integral by {abs(tail):.3e}"
@@ -266,12 +255,10 @@ def _averaged_tail(partial_sums: list[float], window: int = 40) -> float:
     return float(arr[0])
 
 
-def _invert_accelerated(
-    x: float, params: StableParams, quad: QuadratureSpec, t_cut: float
-) -> float:
+def _invert_accelerated(x: float, params: StableParams, t_cut: float) -> float:
     """Far-tail inversion: integrate half-periods of the oscillation and
     accelerate the alternating series.  Used when direct panel quadrature
-    would need more than ``max_direct_cycles`` oscillation cycles."""
+    would need more than ``_MAX_DIRECT_CYCLES`` oscillation cycles."""
     freq = abs(x - params.mu)
     h = math.pi / freq
     f = lambda t: _cos_integrand(t, x, params)
@@ -279,15 +266,15 @@ def _invert_accelerated(
     prev_est = None
     stable_hits = 0
     k = 1
-    while k < quad.accel_max_terms:
+    while k < _ACCEL_MAX_TERMS:
         term = _panel_integrate(f, np.linspace(k * h, (k + 1) * h, 3))
         partial.append(partial[-1] + term)
         if k * h > t_cut:
             # envelope exhausted: the running sum is already the integral
             return partial[-1] / math.pi
-        if k >= quad.accel_min_terms and k % 4 == 0:
+        if k >= _ACCEL_MIN_TERMS and k % 4 == 0:
             est = _averaged_tail(partial)
-            if prev_est is not None and abs(est - prev_est) <= quad.tol * max(
+            if prev_est is not None and abs(est - prev_est) <= _TOL * max(
                 1.0, abs(est)
             ):
                 stable_hits += 1
@@ -299,5 +286,5 @@ def _invert_accelerated(
         k += 1
     raise QuadratureError(
         f"accelerated tail summation did not stabilize at x={x} "
-        f"after {quad.accel_max_terms} half-periods"
+        f"after {_ACCEL_MAX_TERMS} half-periods"
     )

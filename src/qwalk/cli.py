@@ -457,11 +457,7 @@ def _parse_price_path(doc, _realizations):
         raise ConfigError("model", str(exc)) from exc
     if not math.isfinite(horizons * model.horizon):  # the time of the last row
         raise ConfigError("horizons", "the time horizons * model.horizon must be finite")
-    n, spec = model.steps_per_horizon, model.decoherence
-    # a unitary walk serves every horizon; a stochastic one is walked per
-    # horizon and per calibration realization
-    updates, batch, _ = decoherence._sweep_cost(
-        spec.mode, [spec.p], n, horizons + pricing._CALIBRATION_REALIZATIONS)
+    updates, batch = pricing._path_cost(model, horizons)
     _check_size(updates, ("model.steps_per_horizon", batch),
                 _rows_bytes({"horizons": horizons + 1}))
     return model, horizons

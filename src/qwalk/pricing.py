@@ -256,6 +256,16 @@ def qw_price_path(
     return np.array(prices)
 
 
+def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
+    """(site updates, bytes of one batch) of :func:`qw_price_path` over
+    ``horizons`` with a calibrated lattice scale: a unitary walk serves every
+    horizon; a stochastic one is walked per horizon and per calibration
+    realization, in ``decoherence._sweep_cost``'s batches."""
+    spec = model.decoherence
+    return decoherence._sweep_cost(spec.mode, [spec.p], model.steps_per_horizon,
+                                   horizons + _CALIBRATION_REALIZATIONS)[:2]
+
+
 def normalized_returns(prices: np.ndarray, delta_t: int) -> np.ndarray:
     """Log price differences at lag ``delta_t`` divided by their sample
     standard deviation; the output has unit sample variance.

@@ -34,8 +34,8 @@ from helpers import (
     weak_limit_entropy,
     within_k_sem,
 )
+from qwalk import classical
 from qwalk.classical import (
-    QuadratureSpec,
     StableParams,
     classical_rw_distribution,
     gaussian_pdf,
@@ -577,10 +577,10 @@ def _stable_total_mass(params: StableParams, tol: float = 1e-4) -> float:
     """Simpson integration of the density on an asinh-stretched grid over
     [mu - X, mu + X], with X grown until the power-law extrapolated tail
     mass falls below tol/4; the extrapolated tails are added back in."""
-    quad = QuadratureSpec(max_direct_cycles=2000.0)
-
     def pdf(x):
-        return stable_pdf(float(x), params, quad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classical, "_MAX_DIRECT_CYCLES", 2000.0)
+            return stable_pdf(float(x), params)
 
     x_max = 16.0 * max(params.c, 1.0)
     while True:

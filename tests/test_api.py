@@ -10,7 +10,7 @@ import qwalk
 PUBLIC = [
     "CoinAngles", "CoinOperator", "DOWN_IC", "DecoherenceSpec", "DiffusionScaler",
     "EnsembleResult", "GbmParams", "Histogram", "InitialCoinState", "PositionDistribution",
-    "QuadratureError", "QuadratureSpec", "QwPriceModel", "ReturnDistribution", "SYMMETRIC_IC",
+    "QuadratureError", "QwPriceModel", "ReturnDistribution", "SYMMETRIC_IC",
     "StableParams", "SummaryStats", "UP_IC", "WalkState", "aggregate_histogram",
     "classical_rw_distribution", "evolve", "gaussian_pdf", "gbm_path", "gbm_terminal_samples",
     "make_su2_coin", "make_theta_coin", "moments", "normalize_to_reference",

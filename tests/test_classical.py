@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import classical
 from qwalk.classical import (
     GbmParams,
     QuadratureError,
-    QuadratureSpec,
     StableParams,
     classical_rw_distribution,
     gaussian_pdf,
@@ -193,14 +193,15 @@ def test_stable_pdf_symmetric_when_beta_zero():
         assert left == pytest.approx(right, abs=1e-8)
 
 
-def test_stable_pdf_far_tail_continuity():
+def test_stable_pdf_far_tail_continuity(monkeypatch):
     # the far-tail accelerated path must join the direct path smoothly;
     # evaluate the same points with both by shifting the switch threshold
     params = StableParams(0.5, 0.5, c=ROOT_HALF, mu=0.0)
-    force_accel = QuadratureSpec(max_direct_cycles=10.0)
     for x in (30.0, 120.0, -75.0):
         direct = stable_pdf(x, params)
-        accel = stable_pdf(x, params, force_accel)
+        with monkeypatch.context() as force_accel:
+            force_accel.setattr(classical, "_MAX_DIRECT_CYCLES", 10.0)
+            accel = stable_pdf(x, params)
         assert accel == pytest.approx(direct, rel=1e-8)
 
 
@@ -222,7 +223,8 @@ def test_stable_pdf_rejects_an_overflowing_cutoff(params):
         stable_pdf(0.0, params)
 
 
-def test_stable_pdf_reports_failed_self_check():
+def test_stable_pdf_reports_failed_self_check(monkeypatch):
     params = StableParams(1.5, 0.2, c=1.0, mu=0.0)
+    monkeypatch.setattr(classical, "_MAX_REFINEMENTS", 0)
     with pytest.raises(QuadratureError):
-        stable_pdf(1.0, params, QuadratureSpec(max_refinements=0))
+        stable_pdf(1.0, params)

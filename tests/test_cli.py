@@ -459,7 +459,7 @@ GRID = HEATMAP_DOC["grid"]
     (dict(ENTROPY_DOC, n_values=[10, BIG]), "n_values[1]"),
     (dict(ENTROPY_DOC, theta_grid=dict(ENTROPY_DOC["theta_grid"], count=BIG)),
      "theta_grid.count"),
-    (dict(DECOHERENCE_DOC, n=3000), "n"),  # (128, n, 2n+2) link masks: 2.3 GB
+    (dict(DECOHERENCE_DOC, n=7000), "n"),  # 25 walks with their (n, 2n+2) link masks: 2.5 GB
     (dict(COMPARE_DOC, n=BIG), "n"),
     (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], bins=BIG)), "axis.bins"),
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=BIG)),
@@ -656,6 +656,13 @@ def test_repeated_probabilities_are_counted_once(capsys):
 ])
 def test_noiseless_runs_are_charged_the_walks_they_take(capsys, doc):
     parse_config(doc)
+    assert capsys.readouterr().err == ""
+
+
+def test_small_noisy_ensembles_are_charged_the_walks_they_hold(capsys):
+    # 25 realizations are one batch of 25 walks with their count masks, 453 MiB;
+    # charged as a whole chunk of 128 walks they came to 2,321 MiB
+    parse_config(dict(DECOHERENCE_DOC, n=3000))
     assert capsys.readouterr().err == ""
 
 
