@@ -274,9 +274,7 @@ def _invert_accelerated(x: float, params: StableParams, t_cut: float) -> float:
             return partial[-1] / math.pi
         if k >= _ACCEL_MIN_TERMS and k % 4 == 0:
             est = _averaged_tail(partial)
-            if prev_est is not None and abs(est - prev_est) <= _TOL * max(
-                1.0, abs(est)
-            ):
+            if prev_est is not None and abs(est - prev_est) <= _TOL * max(1.0, abs(est)):
                 stable_hits += 1
                 if stable_hits >= 3:
                     return est / math.pi

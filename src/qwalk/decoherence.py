@@ -126,7 +126,7 @@ def run_ensemble(
     Random-stream contract per realization r (stream from
     :func:`realization_rng`):
 
-    * broken_links -- one draw ``rng.random((n, 2n+2))`` up front; step k
+    * broken_links -- the stream of ``rng.random((n, 2n+2))`` up front; step k
       compares row k against p over the full link universe [-n-1, +n] and
       applies the window covering the current support, links [-k-1, +k].
     * random_phase -- one draw ``rng.random((n, 2))`` up front; step k uses
@@ -189,8 +189,8 @@ def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
     :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: each
     noisy p walks n^2 per realization and theta in the batches :func:`_chunks`
     builds, min(realizations, ``_CHUNK``) walks with :func:`_chunk_walks`'
-    count mask for broken links, the unitary series costs its ``_grid_cost``,
-    and six (2n+1) float rows stay per theta and noisy p."""
+    count mask and its uniforms for broken links, the unitary series costs its
+    ``_grid_cost``, and six (2n+1) float rows stay per theta and noisy p."""
     noisy, noiseless = _walks(ps, n)
     updates, batch = _grid_cost(thetas * noiseless, n)
     counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
@@ -217,12 +217,14 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     phase, counts = np.ones(len(rngs)), None  # per walk: one real coin for every step
     if mode == "broken_links":
         # per link, how many of ps exceed its uniform: each p, largest first,
-        # breaks the links whose count is nonzero, then the counts step down
+        # breaks the links whose count is nonzero, then the counts step down; a
+        # walk draws its uniforms 8 batch rows at a time, in the buffers' room
         counts = np.zeros((len(rngs), n, 2 * n + 2), dtype=np.min_scalar_type(len(ps)))
         for count, rng in zip(counts, rngs):
-            u = rng.random((n, 2 * n + 2))
-            for p in ps:
-                count += u < p
+            for rows in np.split(count, range(8 * len(rngs), n, 8 * len(rngs))):
+                u = rng.random(rows.shape)
+                for p in ps:
+                    rows += u < p
             del u  # freed before the next realization draws its own
     elif mode == "random_phase":
         draws = np.array([rng.random((n, 2)) for rng in rngs])
@@ -230,9 +232,9 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     for i, p in enumerate(ps):
         if mode == "random_phase":  # exp(i zeta) once, of zeta reduced as the coin's
             phase = np.exp(1j * _reduced(0.0, 0.0, np.where(accept < p, angles, 0.0))[2])
-        elif i:  # every nonzero count steps down to this p
-            for count in counts:  # a walk at a time, so that the flags stay small
-                np.subtract(count, count != 0, out=count)
+        elif i:  # every nonzero count steps down to this p, in place
+            np.maximum(counts, 1, out=counts)
+            counts -= 1
         for theta in thetas:  # this theta's coins and amplitudes go before the next's come
             yield _probs(*propagate(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n,
                                     broken=counts))

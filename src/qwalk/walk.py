@@ -196,7 +196,8 @@ def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
     go before its two results come), or a random-phase chunk's per-step coins,
     their copy, uniforms, angles and phases (168n bytes a walk).  Broken links
     add the (batch, n, 2n+2) count mask of ``count_bytes`` a link and 41 bytes
-    a link of swap scratch (a flag copy, an int64 index and two complex values)."""
+    a link of swap scratch (a flag copy, an int64 index and two complex values);
+    the mask's uniforms, drawn 8 batch rows at a time, fit in the buffers' room."""
     links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
     return batch * (128 * (2 * n + 1) + links)
 

@@ -546,7 +546,7 @@ def test_a09b_weak_random_phase_tracks_unitary(entropy_curves):
     )
 
 
-def test_a10_stable_density_correctness():
+def test_a10_stable_density_correctness(monkeypatch):
     """alpha=2 matches the standard normal within 1e-6 on [-6, 6]; alpha=1
     matches the Cauchy within 1e-6; the (alpha=0.5, beta=0.5, c=1/sqrt 2)
     density integrates to 1 within 1e-4 over an adaptively truncated
@@ -563,7 +563,7 @@ def test_a10_stable_density_correctness():
         diff = abs(stable_pdf(float(x), params1) - 1.0 / (math.pi * (1 + x * x)))
         worst_cauchy = max(worst_cauchy, diff)
 
-    mass = _stable_total_mass(StableParams(0.5, 0.5, c=1 / math.sqrt(2), mu=0.0))
+    mass = _stable_total_mass(StableParams(0.5, 0.5, c=1 / math.sqrt(2), mu=0.0), monkeypatch)
     ok = worst_normal < 1e-6 and worst_cauchy < 1e-6 and abs(mass - 1.0) < 1e-4
     report(
         ok,
@@ -573,14 +573,14 @@ def test_a10_stable_density_correctness():
     )
 
 
-def _stable_total_mass(params: StableParams, tol: float = 1e-4) -> float:
+def _stable_total_mass(params: StableParams, monkeypatch, tol: float = 1e-4) -> float:
     """Simpson integration of the density on an asinh-stretched grid over
     [mu - X, mu + X], with X grown until the power-law extrapolated tail
     mass falls below tol/4; the extrapolated tails are added back in."""
+    monkeypatch.setattr(classical, "_MAX_DIRECT_CYCLES", 2000.0)
+
     def pdf(x):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classical, "_MAX_DIRECT_CYCLES", 2000.0)
-            return stable_pdf(float(x), params)
+        return stable_pdf(float(x), params)
 
     x_max = 16.0 * max(params.c, 1.0)
     while True:

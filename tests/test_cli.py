@@ -590,6 +590,25 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
     assert held + peak <= batch + sweep
 
 
+@pytest.mark.parametrize("mode", ["broken_links", "random_phase"])
+@pytest.mark.parametrize("realizations", [1, 2])
+def test_sweep_cost_bounds_a_small_noisy_batch(mode, realizations):
+    # a whole sweep whose one batch holds one or two walks at n = 300: each
+    # realization's uniforms and the count mask's step from one p to the next
+    # must fit in the charge of the walks the batch holds, not of 128
+    n, ps, thetas = 300, [0.9, 0.1, 0.5], [0.3, 1.1]
+    _, batch, sweep = decoherence._sweep_cost(mode, ps, n, realizations, thetas=len(thetas))
+    # a first sweep in the process allocates about 0.8 MB of lasting module state
+    decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps, 2, realizations, 4)
+    tracemalloc.start()
+    try:
+        decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps, n, realizations, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch + sweep
+
+
 @pytest.mark.parametrize("ic, theta", [
     # theta = 0 gives point masses (0/0 skewness); near 0, sites underflow to 0
     ("up", {"start": 0.0, "stop": 1e-6, "count": 9}),

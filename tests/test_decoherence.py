@@ -193,6 +193,7 @@ def test_ensemble_matches_public_step_surface_in_any_order():
 @pytest.mark.parametrize("n,p,count", [
     (0, 0.35, 1), (1, 1.0, 129), (1, 0.35, 128), (7, 0.0, 127), (7, 0.35, 129),
     (7, 1.0, 128), (100, 0.35, 129), (100, 1.0, 1), (100, 0.0, 127),
+    (100, 0.35, 3),  # uniforms drawn 24 rows at a time: the replay's one stream
 ])
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
