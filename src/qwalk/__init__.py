@@ -1,6 +1,5 @@
 """Discrete-time quantum walk models for financial return distributions,
-with classical baselines (geometric Brownian motion, classical random walk,
-Gaussian and alpha-stable densities)."""
+with classical baselines (classical random walk, alpha-stable densities)."""
 
 from .coin import CoinAngles, CoinOperator, make_su2_coin, make_theta_coin
 from .walk import (
@@ -15,33 +14,14 @@ from .walk import (
     propagate,
 )
 from .decoherence import DecoherenceSpec, EnsembleResult, realization_rng, run_ensemble
-from .stats import (
-    Histogram,
-    SummaryStats,
-    aggregate_histogram,
-    moments,
-    normalize_to_reference,
-    total_variation,
-)
+from .stats import SummaryStats, moments, normalize_to_reference
 from .classical import (
-    GbmParams,
     QuadratureError,
     StableParams,
     classical_rw_distribution,
-    gaussian_pdf,
-    gbm_path,
-    gbm_terminal_samples,
     stable_cf,
     stable_pdf,
 )
-from .pricing import (
-    DiffusionScaler,
-    QwPriceModel,
-    ReturnDistribution,
-    normalized_returns,
-    prenormalized_return_distribution,
-    qw_price_path,
-    qw_return_distribution,
-)
+from .pricing import DiffusionScaler, QwPriceModel, qw_price_path
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Classical baselines: geometric Brownian motion, the classical random
-walk, and Gaussian / alpha-stable densities.
+"""Classical baselines: the classical random walk and alpha-stable
+densities.
 
 The stable density is recovered from its characteristic function
 
@@ -31,15 +31,11 @@ from numpy.polynomial.legendre import leggauss
 from .walk import PositionDistribution, _check_integer
 
 __all__ = [
-    "GbmParams",
     "StableParams",
     "QuadratureError",
-    "gbm_terminal_samples",
-    "gbm_path",
     "classical_rw_distribution",
     "stable_cf",
     "stable_pdf",
-    "gaussian_pdf",
 ]
 
 #: alpha values within this distance of 1 use the logarithmic-omega branch
@@ -63,22 +59,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GbmParams:
-    """Drift ``mu`` (per unit time), volatility ``sigma`` (per sqrt time)
-    and initial price ``s0``."""
-
-    mu: float
-    sigma: float
-    s0: float = 1.0
-
-    def __post_init__(self):
-        if not self.sigma >= 0:  # each check is written so that NaN fails it
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be positive, got {self.s0}")
-
-
-@dataclass(frozen=True)
 class StableParams:
     """Tail index ``alpha`` in (0, 2], skewness ``beta`` in [-1, 1], scale
     ``c`` > 0 and shift ``mu``."""
@@ -95,33 +75,6 @@ class StableParams:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
         if not self.c > 0:  # written so that NaN fails it, as the two above do
             raise ValueError(f"scale c must be positive, got {self.c}")
-
-
-def gbm_terminal_samples(
-    params: GbmParams, t: float, count: int, seed: int
-) -> np.ndarray:
-    """Exact terminal prices S(t) = s0 exp(sigma sqrt(t) Z + (mu - sigma^2/2) t)
-    for ``count`` independent standard normal draws Z."""
-    if not 0 <= t < math.inf:  # so that NaN fails too
-        raise ValueError(f"time must be non-negative and finite, got {t}")
-    _check_integer("count", count, 1)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(count)
-    drift = (params.mu - 0.5 * params.sigma**2) * t
-    return params.s0 * np.exp(params.sigma * math.sqrt(t) * z + drift)
-
-
-def gbm_path(params: GbmParams, n_steps: int, dt: float, seed: int) -> np.ndarray:
-    """Price path of length n_steps+1 built from exact log increments
-    (no Euler discretization error)."""
-    _check_integer("n_steps", n_steps, 1)
-    if not 0 <= dt < math.inf:  # so that NaN fails too
-        raise ValueError(f"dt must be non-negative and finite, got {dt}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_steps)
-    increments = params.sigma * math.sqrt(dt) * z + (params.mu - 0.5 * params.sigma**2) * dt
-    log_path = np.concatenate([[0.0], np.cumsum(increments)])
-    return params.s0 * np.exp(log_path)
 
 
 def classical_rw_distribution(n: int) -> PositionDistribution:
@@ -159,14 +112,6 @@ def stable_cf(t, params: StableParams):
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(out.reshape(-1)[0])
     return out
-
-
-def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
-    """Normal density."""
-    if not 0 < sigma < math.inf:  # so that NaN fails too
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    z = (x - mu) / sigma
-    return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def stable_pdf(x: float, params: StableParams) -> float:

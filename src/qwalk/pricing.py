@@ -12,7 +12,7 @@ this model exists to provide.  Each lattice site j maps to a log-return
     r_j = mu * dt_horizon + sigma * f(dt_horizon) * dx * j,
 
 where the lattice scale dx is calibrated from the realized distribution's
-own standard deviation (so the pre-normalization return std equals sigma),
+own standard deviation (so the site returns' std equals sigma),
 unless an explicit ``lattice_scale`` is supplied, e.g. for diffusion-scaling
 diagnostics where dx must stay fixed across horizon lengths.
 """
@@ -34,11 +34,7 @@ from .walk import (InitialCoinState, PositionDistribution, _check_integer, evolv
 __all__ = [
     "DiffusionScaler",
     "QwPriceModel",
-    "ReturnDistribution",
-    "qw_return_distribution",
-    "prenormalized_return_distribution",
     "qw_price_path",
-    "normalized_returns",
 ]
 
 #: seed offset of the lattice-scale calibration ensemble of decoherent price
@@ -131,17 +127,6 @@ class QwPriceModel:
         return self.steps_per_horizon * self.dt_per_step
 
 
-@dataclass(frozen=True)
-class ReturnDistribution:
-    """Normalized-return distribution: probability ``probs[k]`` at return
-    value ``returns[k]``, with the horizon length it was generated over.
-    Unit variance under ``probs`` by construction."""
-
-    returns: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-    horizon: float = 1.0
-
-
 def _model_distribution(
     model: QwPriceModel, seed: int, realizations: int
 ) -> PositionDistribution:
@@ -171,46 +156,6 @@ def _check_lattice_scale(dx: float | None):
         raise ValueError(f"lattice scale must be positive and finite, got {dx}")
 
 
-def prenormalized_return_distribution(
-    model: QwPriceModel,
-    seed: int,
-    realizations: int,
-    lattice_scale: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return values r_j and probabilities before unit-variance
-    normalization.
-
-    With ``lattice_scale=None`` the scale dx is calibrated so the return
-    standard deviation equals sigma; passing an explicit dx keeps the
-    mapping fixed, exposing the scaler's n-dependence (return std then
-    scales like sigma * f(horizon) * dx * walk_std(n))."""
-    _check_lattice_scale(lattice_scale)
-    dist = _model_distribution(model, seed, realizations)
-    calibrated = _lattice_scale(model, dist)  # rejects a zero-variance walk either way
-    dx = calibrated if lattice_scale is None else lattice_scale
-    j = dist.sites.astype(float)
-    values = model.mu * model.horizon + model.sigma * model.scaler.value(model.horizon) * dx * j
-    return values, dist.probs.copy()
-
-
-def qw_return_distribution(
-    model: QwPriceModel, seed: int, realizations: int
-) -> ReturnDistribution:
-    """Normalized-return distribution of one horizon of the model.
-
-    The raw site returns are divided by their standard deviation under the
-    distribution, giving exactly unit variance; the mean is not subtracted,
-    so a drift or an asymmetric walk shifts the distribution."""
-    values, probs = prenormalized_return_distribution(model, seed, realizations)
-    mean = float(np.sum(values * probs))
-    std = math.sqrt(float(np.sum((values - mean) ** 2 * probs)))
-    if std <= 1e-12 * max(float(np.max(np.abs(values))), 1e-300):
-        raise ValueError("return distribution has zero variance")
-    return ReturnDistribution(
-        returns=values / std, probs=probs, horizon=model.horizon
-    )
-
-
 def qw_price_path(
     model: QwPriceModel,
     total_steps: int,
@@ -226,8 +171,7 @@ def qw_price_path(
     of the ensemble engine, whose noise that stream draws first; at p = 0, in
     any mode, it is the one unitary walk, walked once, which also calibrates.
     """
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    _check_integer("total_steps", total_steps, 1)
     _check_lattice_scale(lattice_scale)
     spec = model.decoherence
     unitary = None if spec.p else _model_distribution(model, seed, 1)
@@ -264,25 +208,3 @@ def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
     spec = model.decoherence
     return decoherence._sweep_cost(spec.mode, [spec.p], model.steps_per_horizon,
                                    horizons + _CALIBRATION_REALIZATIONS)[:2]
-
-
-def normalized_returns(prices: np.ndarray, delta_t: int) -> np.ndarray:
-    """Log price differences at lag ``delta_t`` divided by their sample
-    standard deviation; the output has unit sample variance.
-
-    Constant-return series (zero variance) are rejected."""
-    prices = np.asarray(prices, dtype=float)
-    if delta_t < 1:
-        raise ValueError(f"delta_t must be >= 1, got {delta_t}")
-    if len(prices) <= delta_t:
-        raise ValueError("price series shorter than the return horizon")
-    if not np.all((prices > 0) & (prices < math.inf)):  # so that NaN fails too
-        raise ValueError("prices must be strictly positive and finite")
-    log_p = np.log(prices)
-    raw = log_p[delta_t:] - log_p[:-delta_t]
-    std = float(np.std(raw))
-    # constant-to-rounding returns (e.g. an exactly geometric series) are
-    # degenerate: the normalized output would be pure floating-point noise
-    if std <= 1e-12 * max(np.max(np.abs(raw)), 1e-300):
-        raise ValueError("returns have zero variance; normalization undefined")
-    return raw / std

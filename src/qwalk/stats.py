@@ -12,7 +12,7 @@ Entropy is in nats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,8 @@ from .walk import PositionDistribution
 
 __all__ = [
     "SummaryStats",
-    "Histogram",
     "moments",
-    "aggregate_histogram",
     "normalize_to_reference",
-    "total_variation",
 ]
 
 
@@ -42,18 +39,6 @@ class SummaryStats:
     skewness: float
     entropy: float
     skewness_defined: bool = True
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Aggregated probability masses over consecutive-site bins."""
-
-    bin_edges: np.ndarray = field(repr=False)
-    masses: np.ndarray = field(repr=False)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 def moments(dist: PositionDistribution) -> SummaryStats:
@@ -158,25 +143,6 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-def aggregate_histogram(dist: PositionDistribution, bin_width: int = 2) -> Histogram:
-    """Sum P_j over consecutive bins of ``bin_width`` sites.
-
-    Width 2 exactly absorbs the parity zeros of an origin-started walk,
-    removing the spiky alternation without losing mass; the trailing bin is
-    allowed to be partial.  Total mass is preserved.
-    """
-    if bin_width < 1:
-        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
-    p = dist.probs
-    n_bins = math.ceil(len(p) / bin_width)
-    padded = np.zeros(n_bins * bin_width)
-    padded[: len(p)] = p
-    masses = padded.reshape(n_bins, bin_width).sum(axis=1)
-    left = -dist.n - 0.5
-    edges = left + bin_width * np.arange(n_bins + 1, dtype=float)
-    return Histogram(bin_edges=edges, masses=masses)
-
-
 def _trapezoid_integral(dist: PositionDistribution) -> float:
     p = dist.probs
     return float(p.sum() - 0.5 * (p[0] + p[-1]))
@@ -196,16 +162,3 @@ def normalize_to_reference(
     if current <= 0.0:
         raise ValueError("cannot rescale a distribution with zero integral")
     return PositionDistribution(n=dist.n, probs=dist.probs * (target / current))
-
-
-def total_variation(d1: PositionDistribution, d2: PositionDistribution) -> float:
-    """Half the L1 distance between two distributions, zero-padding the
-    narrower support so the site ranges coincide."""
-    n = max(d1.n, d2.n)
-
-    def padded(d: PositionDistribution) -> np.ndarray:
-        out = np.zeros(2 * n + 1)
-        out[n - d.n : n + d.n + 1] = d.probs
-        return out
-
-    return float(0.5 * np.sum(np.abs(padded(d1) - padded(d2))))

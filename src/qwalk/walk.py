@@ -125,11 +125,11 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
 
     ``a0``, ``b0``: initial coin amplitudes, scalars or shape (B,).  ``coins``:
     one coin per walk, (B, 2, 2), or per step and walk, (n, B, 2, 2).  Returns
-    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n; a negative ``n``
-    is a ``ValueError``.  Step k reads only the k+1 occupied sites -k, -k+2,
-    ..., k, held contiguously, and the sites of the other parity stay 0; per
-    site it is the per-step oracle ``step_unitary`` in ``tests/helpers.py``,
-    bit for bit.
+    ``a``, ``b`` of shape (B, 2n+1), site j at index j + n; an ``n`` that is
+    not an integer >= 0, a float or a bool included, is a ``ValueError``.
+    Step k reads only the k+1 occupied sites -k, -k+2, ..., k, held
+    contiguously, and the sites of the other parity stay 0; per site it is
+    the per-step oracle ``step_unitary`` in ``tests/helpers.py``, bit for bit.
 
     Each coin entry reaches numpy in the form it streams fastest, with the
     same products: a scalar when every walk shares it at every step, a
@@ -144,8 +144,7 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.  Such
     walks fill both parities, so their step k reads the whole support [-k, k].
     """
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    _check_integer("step count", n, 0)
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
         raise ValueError(f"coins must be (B, 2, 2) or (n, B, 2, 2), got {coins.shape}")

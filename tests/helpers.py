@@ -14,13 +14,18 @@ from the averaged channel on the density matrix.  Both use numpy only and
 neither uses the package's site recurrence; ``test_oracles`` checks them
 against known results.
 
-Last come the per-step oracles that ``qwalk.walk.propagate``, the package's
+Then come the per-step oracles that ``qwalk.walk.propagate``, the package's
 one coin-and-shift kernel, must equal bit for bit: ``step_unitary`` from
 ``init_state``, ``step_broken_links`` under a ``LinkMask``, and
 ``sample_random_phase_coin`` for ``step_unitary``, chained by ``replay_walk``;
 with them the ``WalkState`` readers ``site_index``, ``amplitude``, ``norm``
 and ``sites``.  Only the tests call them, since the package runs every walk
 on ``propagate``.
+
+Last come test tools that no command needs: the normal density
+``gaussian_pdf``, width-2 histograms and the binned total variation
+``binned_tv``, and ``prenormalized_return_distribution``, the site returns
+of one price-model horizon.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qwalk import pricing
 from qwalk.coin import TWO_PI, CoinOperator
-from qwalk.walk import InitialCoinState, WalkState, position_distribution
+from qwalk.walk import InitialCoinState, PositionDistribution, WalkState, position_distribution
 
 
 def brute_force_amplitudes(a0, b0, coin: np.ndarray, n: int):
@@ -442,3 +448,73 @@ def replay_walk(ic, theta: float, spec, n: int, rng):
         for _ in range(n):
             state = step_unitary(state, sample_random_phase_coin(theta, spec.p, rng))
     return position_distribution(state)
+
+
+# ---------------------------------------------------------------------------
+# Densities, histograms and returns
+# ---------------------------------------------------------------------------
+
+
+def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
+    """Normal density."""
+    if not 0 < sigma < math.inf:  # so that NaN fails too
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    z = (x - mu) / sigma
+    return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+class Histogram(NamedTuple):
+    """Aggregated probability masses over consecutive-site bins."""
+
+    bin_edges: np.ndarray
+    masses: np.ndarray
+
+
+def aggregate_histogram(dist: PositionDistribution, bin_width: int = 2) -> Histogram:
+    """Sum P_j over consecutive bins of ``bin_width`` sites.
+
+    Width 2 exactly absorbs the parity zeros of an origin-started walk,
+    removing the spiky alternation without losing mass; the trailing bin is
+    allowed to be partial.  Total mass is preserved.
+    """
+    if bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
+    p = dist.probs
+    n_bins = math.ceil(len(p) / bin_width)
+    padded = np.zeros(n_bins * bin_width)
+    padded[: len(p)] = p
+    masses = padded.reshape(n_bins, bin_width).sum(axis=1)
+    left = -dist.n - 0.5
+    edges = left + bin_width * np.arange(n_bins + 1, dtype=float)
+    return Histogram(bin_edges=edges, masses=masses)
+
+
+def binned_tv(probs_a: np.ndarray, probs_b: np.ndarray, n: int) -> float:
+    """Total variation between width-2 histogram aggregations.
+
+    Width-2 binning removes the parity mismatch between the all-sites
+    support of broken-link ensembles and the even-sites-only support of the
+    binomial walk; the site-wise distance would otherwise be dominated by
+    interleaved zeros rather than by the shapes being compared.
+    """
+    ha = aggregate_histogram(PositionDistribution(n=n, probs=probs_a), 2)
+    hb = aggregate_histogram(PositionDistribution(n=n, probs=probs_b), 2)
+    return float(0.5 * np.sum(np.abs(ha.masses - hb.masses)))
+
+
+def prenormalized_return_distribution(model, seed: int, realizations: int,
+                                      lattice_scale: float | None = None):
+    """Site returns r_j and their probabilities over one horizon of the
+    price ``model``, on the walk and the lattice scale of ``qwalk.pricing``.
+
+    With ``lattice_scale=None`` the scale dx is calibrated so the return
+    standard deviation equals sigma; passing an explicit dx keeps the
+    mapping fixed, exposing the scaler's n-dependence (return std then
+    scales like sigma * f(horizon) * dx * walk_std(n))."""
+    pricing._check_lattice_scale(lattice_scale)
+    dist = pricing._model_distribution(model, seed, realizations)
+    calibrated = pricing._lattice_scale(model, dist)  # rejects a zero-variance walk either way
+    dx = calibrated if lattice_scale is None else lattice_scale
+    j = dist.sites.astype(float)
+    values = model.mu * model.horizon + model.sigma * model.scaler.value(model.horizon) * dx * j
+    return values, dist.probs.copy()

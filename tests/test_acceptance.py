@@ -20,13 +20,16 @@ import pytest
 
 from helpers import (
     K_SEM,
+    binned_tv,
     binomial_probs,
     brute_force_amplitudes,
     entropy_nats,
+    gaussian_pdf,
     init_state,
     konno_bias,
     konno_moments,
     norm,
+    prenormalized_return_distribution,
     random_ic,
     random_phase_exact_mean,
     skewness_from_moments,
@@ -35,20 +38,11 @@ from helpers import (
     within_k_sem,
 )
 from qwalk import classical
-from qwalk.classical import (
-    StableParams,
-    classical_rw_distribution,
-    gaussian_pdf,
-    stable_pdf,
-)
+from qwalk.classical import StableParams, classical_rw_distribution, stable_pdf
 from qwalk.coin import CoinAngles, make_su2_coin, make_theta_coin
 from qwalk.decoherence import DecoherenceSpec, run_ensemble
-from qwalk.pricing import (
-    DiffusionScaler,
-    QwPriceModel,
-    prenormalized_return_distribution,
-)
-from qwalk.stats import aggregate_histogram, moments
+from qwalk.pricing import DiffusionScaler, QwPriceModel
+from qwalk.stats import moments
 from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
@@ -66,19 +60,6 @@ GRID_STEP = GRID[1] - GRID[0]
 def report(ok: bool, label: str, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok, f"{label}: {detail}"
-
-
-def binned_tv(probs_a: np.ndarray, probs_b: np.ndarray, n: int) -> float:
-    """Total variation between width-2 histogram aggregations.
-
-    Width-2 binning removes the parity mismatch between the all-sites
-    support of broken-link ensembles and the even-sites-only support of the
-    binomial walk; the site-wise distance would otherwise be dominated by
-    interleaved zeros rather than by the shapes being compared.
-    """
-    ha = aggregate_histogram(PositionDistribution(n=n, probs=probs_a), 2)
-    hb = aggregate_histogram(PositionDistribution(n=n, probs=probs_b), 2)
-    return float(0.5 * np.sum(np.abs(ha.masses - hb.masses)))
 
 
 @pytest.fixture(scope="module")

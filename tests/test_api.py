@@ -4,19 +4,22 @@ agree, and the pinned names keep test-only oracles out of the package."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qwalk
 
+ROOT = Path(__file__).resolve().parent.parent
+
 PUBLIC = [
     "CoinAngles", "CoinOperator", "DOWN_IC", "DecoherenceSpec", "DiffusionScaler",
-    "EnsembleResult", "GbmParams", "Histogram", "InitialCoinState", "PositionDistribution",
-    "QuadratureError", "QwPriceModel", "ReturnDistribution", "SYMMETRIC_IC",
-    "StableParams", "SummaryStats", "UP_IC", "WalkState", "aggregate_histogram",
-    "classical_rw_distribution", "evolve", "gaussian_pdf", "gbm_path", "gbm_terminal_samples",
-    "make_su2_coin", "make_theta_coin", "moments", "normalize_to_reference",
-    "normalized_returns", "position_distribution", "prenormalized_return_distribution",
-    "propagate", "qw_price_path", "qw_return_distribution", "realization_rng", "run_ensemble",
-    "stable_cf", "stable_pdf", "total_variation",
+    "EnsembleResult", "InitialCoinState", "PositionDistribution", "QuadratureError",
+    "QwPriceModel", "SYMMETRIC_IC", "StableParams", "SummaryStats", "UP_IC", "WalkState",
+    "classical_rw_distribution", "evolve", "make_su2_coin", "make_theta_coin", "moments",
+    "normalize_to_reference", "position_distribution", "propagate", "qw_price_path",
+    "realization_rng", "run_ensemble", "stable_cf", "stable_pdf",
 ]
 
 
@@ -41,3 +44,18 @@ def test_cli_surface_that_perfbench_wraps():
     for name in ("run", "parse_config", "write_outputs", "_COMMANDS"):
         assert hasattr(cli, name), name
     assert cli.ExperimentConfig("heatmap", 0, 1, "csv", {}).spec == ()
+
+
+def test_a_cli_run_needs_no_package_beyond_numpy(tmp_path):
+    # numpy is the one runtime dependency: neither the import nor a run loads these
+    config = ROOT / "scripts" / "configs" / "price_path.json"
+    code = (
+        "import sys, qwalk\n"
+        "from qwalk import cli\n"
+        f"assert cli.run(['price-path', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis', 'pytest'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # after the paths the run prints

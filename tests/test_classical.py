@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gaussian_pdf
 from qwalk import classical
 from qwalk.classical import (
-    GbmParams,
     QuadratureError,
     StableParams,
     classical_rw_distribution,
-    gaussian_pdf,
-    gbm_path,
-    gbm_terminal_samples,
     stable_cf,
     stable_pdf,
 )
@@ -22,69 +19,17 @@ from qwalk.stats import moments
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
-# ---------------------------------------------------------------- GBM
+# ---------------------------------------------------- classical random walk
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gbm_path(GbmParams(0.0, 0.2), 2.5, 0.1, 0),
-    lambda: gbm_path(GbmParams(0.0, 0.2), True, 0.1, 0),
-    lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), 1.0, 2.5, 0),
-    lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), 1.0, False, 0),
     lambda: classical_rw_distribution(2.5),
     lambda: classical_rw_distribution(True),
-], ids=["gbm_path_float", "gbm_path_bool", "terminal_float", "terminal_bool", "rw_float",
-        "rw_bool"])
+], ids=["rw_float", "rw_bool"])
 def test_integer_arguments_must_be_integers(call):
     # each used to fail late inside numpy or range with a TypeError, or took True as 1
     with pytest.raises(ValueError, match="must be an integer"):
         call()
-
-
-def test_gbm_zero_volatility_is_pure_drift():
-    params = GbmParams(mu=0.07, sigma=0.0, s0=3.0)
-    samples = gbm_terminal_samples(params, t=2.0, count=50, seed=1)
-    assert np.allclose(samples, 3.0 * math.exp(0.14), atol=1e-12)
-
-
-def test_gbm_log_return_moments_million_samples():
-    params = GbmParams(mu=0.0, sigma=1.0, s0=1.0)
-    samples = gbm_terminal_samples(params, t=1.0, count=1_000_000, seed=7)
-    log_returns = np.log(samples / params.s0)
-    # Ito correction shifts the mean to -sigma^2/2; variance stays t
-    assert np.mean(log_returns) == pytest.approx(-0.5, abs=0.01)
-    assert np.var(log_returns) == pytest.approx(1.0, abs=0.01)
-    centered = log_returns - log_returns.mean()
-    skew = np.mean(centered**3) / np.std(log_returns) ** 3
-    assert abs(skew) < 0.02
-
-
-def test_gbm_deterministic_given_seed():
-    params = GbmParams(mu=0.05, sigma=0.3)
-    a = gbm_terminal_samples(params, 1.0, 1000, seed=11)
-    b = gbm_terminal_samples(params, 1.0, 1000, seed=11)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_gbm_path_increments_match_terminal_law():
-    params = GbmParams(mu=0.1, sigma=0.2, s0=2.0)
-    path = gbm_path(params, n_steps=500, dt=0.01, seed=3)
-    assert len(path) == 501
-    assert path[0] == 2.0
-    assert np.all(path > 0)
-    params0 = GbmParams(mu=0.1, sigma=0.0, s0=2.0)
-    flat = gbm_path(params0, n_steps=10, dt=0.5, seed=3)
-    expected = 2.0 * np.exp(0.1 * 0.5 * np.arange(11))
-    np.testing.assert_allclose(flat, expected, rtol=1e-12)
-
-
-def test_gbm_validation():
-    with pytest.raises(ValueError):
-        GbmParams(mu=0.0, sigma=-1.0)
-    with pytest.raises(ValueError):
-        GbmParams(mu=0.0, sigma=1.0, s0=0.0)
-
-
-# ---------------------------------------------------- classical random walk
 
 
 def test_binomial_two_steps():

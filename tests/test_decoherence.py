@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     LinkMask,
     amplitude,
+    binned_tv,
     binomial_probs,
     entropy_nats,
     init_state,
@@ -252,13 +253,6 @@ def test_weak_disruption_resembles_unitary_more_than_classical():
     interference spikes, which keeps the unitary-side TV far above zero.
     """
     from qwalk.classical import classical_rw_distribution
-    from qwalk.stats import aggregate_histogram
-    from qwalk.walk import PositionDistribution
-
-    def binned_tv(pa, pb, n):
-        ha = aggregate_histogram(PositionDistribution(n=n, probs=pa), 2)
-        hb = aggregate_histogram(PositionDistribution(n=n, probs=pb), 2)
-        return float(0.5 * np.sum(np.abs(ha.masses - hb.masses)))
 
     result = run_ensemble(
         SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.01), 100, 1000, 42

@@ -29,6 +29,9 @@ once into typed values; they include the library version.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +163,19 @@ def test_variant_csv_digest(name, tmp_path):
     doc = json.loads((CONFIG_DIR / f"{base}.json").read_text(encoding="utf-8"))
     got = _digests(_with_changes(doc, changes), tmp_path, realizations)
     assert got == (digest, META[name])
+
+
+def _run_experiments(*args):
+    """Run ``scripts/run_experiments.py`` with ``args`` on the package in src/."""
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_experiments.py"), *args],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_run_experiments_script_writes_the_golden_price_path(tmp_path):
+    done = _run_experiments("--only", "price_path", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    csv = (tmp_path / "price_path" / "price_path.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN["price_path"]
+    none = _run_experiments("--only", "no_such_config", "--out", str(tmp_path / "none"))
+    assert none.returncode == 1 and "no configs matched" in none.stderr

@@ -5,27 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import replay_walk
+from helpers import gaussian_pdf, prenormalized_return_distribution, replay_walk
 from test_golden import CONFIG_DIR, VARIANTS, _digests, _with_changes
 from qwalk import decoherence, pricing
-from qwalk.classical import (
-    GbmParams,
-    StableParams,
-    gaussian_pdf,
-    gbm_path,
-    gbm_terminal_samples,
-    stable_pdf,
-)
+from qwalk.classical import StableParams, stable_pdf
 from qwalk.coin import CoinAngles
 from qwalk.decoherence import DecoherenceSpec, realization_rng, run_ensemble
-from qwalk.pricing import (
-    DiffusionScaler,
-    QwPriceModel,
-    normalized_returns,
-    prenormalized_return_distribution,
-    qw_price_path,
-    qw_return_distribution,
-)
+from qwalk.pricing import DiffusionScaler, QwPriceModel, qw_price_path
 from qwalk.walk import SYMMETRIC_IC, UP_IC, InitialCoinState, evolve
 
 HADAMARD_ANGLES = CoinAngles(0.0, math.pi / 4, 0.0)
@@ -88,8 +74,6 @@ def test_custom_scaler_keeps_the_slope_of_an_overflowing_span():
 
 @pytest.mark.parametrize("make, match", [
     (lambda: StableParams(1.5, 0.0, math.nan), "scale c must be positive"),
-    (lambda: GbmParams(0.0, math.nan), "sigma must be non-negative"),
-    (lambda: GbmParams(0.0, 0.2, math.nan), "s0 must be positive"),
     (lambda: model_with(sigma=math.nan), "sigma must be non-negative"),
     (lambda: model_with(s0=math.nan), "s0 must be positive"),
     (lambda: DiffusionScaler.custom([0, 1], [1, math.nan]), "tables must be finite"),
@@ -99,18 +83,12 @@ def test_custom_scaler_keeps_the_slope_of_an_overflowing_span():
     (lambda: DiffusionScaler.unit().value(math.nan), "scaler time must be non-negative"),
     (lambda: gaussian_pdf(0, 0, math.nan), "sigma must be positive"),
     (lambda: gaussian_pdf(0, 0, math.inf), "sigma must be positive and finite"),
-    (lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), math.nan, 5, 0), "time must be non-neg"),
-    (lambda: gbm_terminal_samples(GbmParams(0.0, 0.2), math.inf, 5, 0), "time must be non-neg"),
-    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, math.nan, 0), "dt must be non-negative"),
-    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, math.inf, 0), "dt must be non-negative"),
-    (lambda: gbm_path(GbmParams(0.0, 0.2), 5, -1.0, 0), "dt must be non-negative"),
     (lambda: stable_pdf(math.nan, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
     (lambda: stable_pdf(math.inf, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
     (lambda: stable_pdf(-math.inf, StableParams(1.5, 0.0, 1.0)), "x must be finite"),
-], ids=["stable_c", "gbm_sigma", "gbm_s0", "model_sigma", "model_s0", "scaler_f_nan",
-        "scaler_t_nan", "scaler_f_inf", "scaler_t_inf", "scaler_time_nan", "gaussian_sigma_nan",
-        "gaussian_sigma_inf", "gbm_time_nan", "gbm_time_inf", "gbm_dt_nan", "gbm_dt_inf",
-        "gbm_dt_negative", "stable_x_nan", "stable_x_inf", "stable_x_minus_inf"])
+], ids=["stable_c", "model_sigma", "model_s0", "scaler_f_nan", "scaler_t_nan", "scaler_f_inf",
+        "scaler_t_inf", "scaler_time_nan", "gaussian_sigma_nan", "gaussian_sigma_inf",
+        "stable_x_nan", "stable_x_inf", "stable_x_minus_inf"])
 def test_nan_fails_the_range_checks(make, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before numpy warns
@@ -147,24 +125,26 @@ def test_model_validation():
 # --------------------------------------------------- return distribution
 
 
-def test_unitary_symmetric_returns_unit_variance_zero_mean():
-    dist = qw_return_distribution(model_with(), seed=0, realizations=1)
-    mean = float(np.sum(dist.returns * dist.probs))
-    var = float(np.sum((dist.returns - mean) ** 2 * dist.probs))
-    assert var == pytest.approx(1.0, abs=1e-9)
-    assert mean == pytest.approx(0.0, abs=1e-10)
-    assert dist.horizon == pytest.approx(1.0)
+def _mean_and_moments(values, probs):
+    """Mean, variance and third central moment of the returns ``values``."""
+    mean = float(np.sum(values * probs))
+    dev = values - mean
+    return mean, float(np.sum(dev**2 * probs)), float(np.sum(dev**3 * probs))
+
+
+def test_unitary_symmetric_returns_zero_mean_and_bimodal():
+    values, probs = prenormalized_return_distribution(model_with(), 0, 1)
+    assert _mean_and_moments(values, probs)[0] == pytest.approx(0.0, abs=1e-10)
     # bimodal: the return mass peaks away from zero on both sides
-    mid = len(dist.probs) // 2
-    assert np.argmax(dist.probs[mid:]) > 10
+    mid = len(probs) // 2
+    assert np.argmax(probs[mid:]) > 10
 
 
-def test_drift_shifts_normalized_mean():
+def test_drift_shifts_return_mean():
     model = model_with(mu=0.5)
-    dist = qw_return_distribution(model, seed=0, realizations=1)
-    mean = float(np.sum(dist.returns * dist.probs))
-    # raw mean = mu * horizon, raw std = sigma after calibration
-    assert mean == pytest.approx(0.5 * model.horizon / model.sigma, rel=1e-9)
+    values, probs = prenormalized_return_distribution(model, 0, 1)
+    # raw mean = mu * horizon
+    assert _mean_and_moments(values, probs)[0] == pytest.approx(0.5 * model.horizon, rel=1e-9)
 
 
 def test_calibration_honors_sigma_for_any_scaler():
@@ -176,19 +156,9 @@ def test_calibration_honors_sigma_for_any_scaler():
         assert std == pytest.approx(0.37, rel=1e-12)
 
 
-def test_degenerate_returns_rejected():
-    # sigma = 0 collapses every site to the same return value
-    model = model_with(sigma=0.0, mu=0.03)
-    with pytest.raises(ValueError, match="zero variance"):
-        qw_return_distribution(model, seed=0, realizations=1)
-
-
 def test_up_bias_gives_negative_skew():
-    dist = qw_return_distribution(model_with(ic=UP_IC), seed=0, realizations=1)
-    mean = float(np.sum(dist.returns * dist.probs))
-    dev = dist.returns - mean
-    k2 = float(np.sum(dev**2 * dist.probs))
-    k3 = float(np.sum(dev**3 * dist.probs))
+    values, probs = prenormalized_return_distribution(model_with(ic=UP_IC), 0, 1)
+    _, k2, k3 = _mean_and_moments(values, probs)
     assert k3 / k2**1.5 < -0.5
 
 
@@ -220,13 +190,10 @@ def test_decoherent_return_distribution_uses_ensemble():
     model = model_with(
         ic=UP_IC, decoherence=DecoherenceSpec.broken_links(0.3), steps_per_horizon=40
     )
-    dist = qw_return_distribution(model, seed=1, realizations=50)
-    var = float(
-        np.sum((dist.returns - np.sum(dist.returns * dist.probs)) ** 2 * dist.probs)
-    )
-    assert var == pytest.approx(1.0, abs=1e-9)
-    again = qw_return_distribution(model, seed=1, realizations=50)
-    np.testing.assert_array_equal(dist.probs, again.probs)
+    values, probs = prenormalized_return_distribution(model, 1, 50)
+    assert math.sqrt(_mean_and_moments(values, probs)[1]) == pytest.approx(0.2, rel=1e-12)
+    again = prenormalized_return_distribution(model, 1, 50)[1]
+    np.testing.assert_array_equal(probs, again)
 
 
 # ------------------------------------------------------------- price paths
@@ -290,10 +257,11 @@ def test_explicit_lattice_scale_must_be_positive_and_finite(dx):
             qw_price_path(model_with(), total_steps=3, seed=0, lattice_scale=dx)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-def test_normalized_returns_reject_a_non_finite_or_non_positive_price(bad):
-    with pytest.raises(ValueError, match="prices must be strictly positive"):
-        normalized_returns([1.0, 2.0, bad, 3.0, 1.5], 1)
+@pytest.mark.parametrize("steps", [2.5, True])
+def test_price_path_horizon_count_must_be_an_integer(steps):
+    # 2.5 failed late inside range with a TypeError; True walked one horizon
+    with pytest.raises(ValueError, match="total_steps must be an integer >= 1"):
+        qw_price_path(model_with(), total_steps=steps, seed=0)
 
 
 def test_price_path_rejects_a_price_that_underflows_to_zero():
@@ -391,40 +359,3 @@ def test_zero_probability_price_path_is_the_unitary_one(spec, variant, tmp_path,
     csv = []
     walked = _walked(monkeypatch, lambda: csv.append(_digests(doc, tmp_path, realizations)[0]))
     assert csv == [digest] and len(walked) == 0
-
-
-# ------------------------------------------------------- normalized returns
-
-
-def test_geometric_series_rejected_as_degenerate():
-    # exactly geometric prices have constant log returns
-    for prices in (2.0 ** np.arange(20), np.full(20, 5.0)):
-        with pytest.raises(ValueError, match="zero variance"):
-            normalized_returns(prices, 1)
-
-
-def test_normalized_returns_unit_variance_and_rescale_invariance():
-    prices = gbm_path(GbmParams(mu=0.0, sigma=0.01), n_steps=1_000_000, dt=1.0, seed=2)
-    g = normalized_returns(prices, 1)
-    assert np.var(g) == pytest.approx(1.0, abs=1e-12)
-    centered = g - g.mean()
-    skew = np.mean(centered**3) / np.std(g) ** 3
-    assert abs(skew) < 0.02
-    g_scaled = normalized_returns(137.0 * prices, 1)
-    np.testing.assert_allclose(g_scaled, g, atol=1e-10)
-
-
-def test_normalization_idempotent():
-    prices = gbm_path(GbmParams(mu=0.1, sigma=0.4), n_steps=5000, dt=0.01, seed=4)
-    g = normalized_returns(prices, 3)
-    twice = g / np.std(g)
-    np.testing.assert_allclose(twice, g, rtol=1e-12)
-
-
-def test_normalized_returns_validation():
-    with pytest.raises(ValueError, match="shorter"):
-        normalized_returns(np.array([1.0, 2.0]), 5)
-    with pytest.raises(ValueError, match="positive"):
-        normalized_returns(np.array([1.0, -2.0, 3.0]), 1)
-    with pytest.raises(ValueError):
-        normalized_returns(np.array([1.0, 2.0, 4.0]), 0)

@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import aggregate_histogram
 from qwalk import stats
 from qwalk.coin import make_theta_coin
-from qwalk.stats import (
-    aggregate_histogram,
-    moments,
-    normalize_to_reference,
-    total_variation,
-)
+from qwalk.stats import moments, normalize_to_reference
 from qwalk.walk import SYMMETRIC_IC, PositionDistribution, evolve, position_distribution
 from qwalk.classical import classical_rw_distribution
 
@@ -265,24 +261,3 @@ def test_normalize_rejects_zero_integral():
     ref = dist_from([0.25, 0.5, 0.25])
     with pytest.raises(ValueError, match="zero integral"):
         normalize_to_reference(zero, ref)
-
-
-def test_total_variation_examples():
-    d = dist_from([0.25, 0.5, 0.25])
-    assert total_variation(d, d) == 0.0
-    left = dist_from([1.0, 0.0, 0.0])
-    right = dist_from([0.0, 0.0, 1.0])
-    assert total_variation(left, right) == pytest.approx(1.0)
-    split = dist_from([0.5, 0.0, 0.5])
-    point = PositionDistribution(n=0, probs=np.array([1.0]))
-    assert total_variation(split, point) == pytest.approx(1.0)
-
-
-@given(vec1=prob_vectors, vec2=prob_vectors)
-@settings(max_examples=50)
-def test_total_variation_bounds(vec1, vec2):
-    d1 = dist_from(normalized(vec1))
-    d2 = dist_from(normalized(vec2))
-    tv = total_variation(d1, d2)
-    assert -1e-12 <= tv <= 1.0 + 1e-12
-    assert tv == pytest.approx(total_variation(d2, d1), abs=1e-15)
