@@ -259,7 +259,6 @@ def test_explicit_lattice_scale_must_be_positive_and_finite(dx):
 
 @pytest.mark.parametrize("steps", [2.5, True])
 def test_price_path_horizon_count_must_be_an_integer(steps):
-    # 2.5 failed late inside range with a TypeError; True walked one horizon
     with pytest.raises(ValueError, match="total_steps must be an integer >= 1"):
         qw_price_path(model_with(), total_steps=steps, seed=0)
 

@@ -311,7 +311,6 @@ def test_propagate_matches_the_spectral_reference_at_large_n(n, xi, theta, zeta)
 
 @pytest.mark.parametrize("n", [-1, -3, 2.5, True])
 def test_negative_step_counts_are_rejected_by_propagate_and_evolve(n):
-    # 2.5 used to fail inside numpy with a TypeError, and True walked one step
     with pytest.raises(ValueError, match="step count must be an integer >= 0"):
         propagate(1.0, 0.0, HADAMARD.matrix[None], n)
     with pytest.raises(ValueError, match="step count must be an integer >= 0"):
