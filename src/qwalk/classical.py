@@ -15,6 +15,13 @@ half-period summation with repeated-averaging acceleration for the far
 tails, where panel quadrature would need billions of nodes.  Both raise
 :class:`QuadratureError` instead of returning an unverified value.
 
+A list of abscissae, as compare-returns' stable column, runs each
+abscissa's quadrature side by side.  Mirrored abscissae, with equal
+|x - mu|, ask for the same panels, so phi(t) is computed once per panel
+set for the pair; at mu = 0 the mirror's e^{+ixt} is the conjugate of
+e^{-ixt}.  Each keeps its own refinement, truncation check and error, and
+every value equals :func:`stable_pdf` at that point alone, bit for bit.
+
 The parameter convention follows the characteristic function above
 verbatim (the "S1"-style parameterization); no conversion to other
 conventions is attempted.
@@ -122,15 +129,42 @@ def stable_pdf(x: float, params: StableParams) -> float:
     the truncation self-check (doubling the cutoff) moves the result by
     more than the tolerance.  A non-finite ``x`` is a ``ValueError``.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    return _stable_pdfs([x], params)[0]
+
+
+def _stable_pdfs(xs, params: StableParams) -> list[float]:
+    """:func:`stable_pdf` at each of ``xs``, bit for bit.
+
+    Every abscissa runs its own quadrature (:func:`_inversion`), and they all
+    advance together, one panel set each per round: abscissae that ask for
+    the same panels in a round, as mirrors with equal |x - mu| do, share one
+    evaluation of phi(t) there.  A failed quadrature raises the
+    :class:`QuadratureError` of the first such abscissa in ``xs``."""
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
     t_cut = _cutoff(params)
-    cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
-    if cycles <= _MAX_DIRECT_CYCLES:
-        value = _invert_direct(x, params, t_cut, cycles)
-    else:
-        value = _invert_accelerated(x, params, t_cut)
-    return max(value, 0.0)
+    runs = {i: _inversion(x, params, t_cut) for i, x in enumerate(xs)}
+    asks = {i: next(run) for i, run in runs.items()}
+    values, errors = [0.0] * len(xs), {}
+    while asks:
+        shared = {}  # panels -> the abscissae that ask for them
+        for i, panels in asks.items():
+            shared.setdefault(panels, []).append(i)
+        asks = {}
+        for panels, group in shared.items():
+            group.sort(key=lambda i: abs(xs[i]))  # a mirror pair next to each other
+            for i, integral in zip(group, _panel_integrate([xs[i] for i in group], params,
+                                                           _edges(*panels))):
+                try:
+                    asks[i] = runs[i].send(integral)
+                except StopIteration as done:
+                    values[i] = max(done.value, 0.0)
+                except QuadratureError as exc:
+                    errors[i] = exc
+    if errors:
+        raise errors[min(errors)]
+    return values
 
 
 def _cutoff(params: StableParams) -> float:
@@ -144,43 +178,66 @@ def _cutoff(params: StableParams) -> float:
     return t_cut
 
 
-def _cos_integrand(t: np.ndarray, x: float, params: StableParams) -> np.ndarray:
-    phi = stable_cf(t, params)
-    phi *= np.exp(-1j * x * t)
-    return phi.real
-
-
-def _panel_integrate(f, edges: np.ndarray) -> float:
-    """Composite 16-point Gauss-Legendre over the given panel edges."""
+def _panel_integrate(xs, params: StableParams, edges: np.ndarray) -> list[float]:
+    """Composite 16-point Gauss-Legendre of Re[e^{-ixt} phi(t)] over the given
+    panel edges, for each x of ``xs`` with one phi(t).  An x equal to the one
+    before reuses its e^{-ixt}, and one equal to its negation conjugates it:
+    both are the exponential that x computes itself, bit for bit.  Besides the
+    nodes and phi(t), one exponential and one product are held at a time."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(t.ravel()).reshape(t.shape)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
+    nodes = t.ravel()
+    phi = stable_cf(nodes, params)
+    wave, prod, prev, sums = np.empty_like(phi), None, math.nan, []
+    for x in xs:
+        if x == -prev and x != prev:
+            np.conjugate(wave, out=wave)
+        elif x != prev:
+            np.exp(np.multiply(-1j * x, nodes, out=wave), out=wave)
+        prod = np.multiply(phi, wave, out=prod)
+        sums.append(float(np.sum(half * (prod.real.reshape(t.shape) @ _GL_WEIGHTS))))
+        prev = x
+    return sums
 
 
-def _graded_edges(lo: float, hi: float, levels: int = 54) -> np.ndarray:
-    """Panel edges accumulating geometrically at ``lo``; resolves the
-    |t|^alpha cusp of the characteristic function at t = 0."""
-    steps = (hi - lo) * 2.0 ** -np.arange(levels, 0, -1, dtype=float)
+def _edges(lo: float, hi: float, count: int | None) -> np.ndarray:
+    """The panel edges a quadrature asks for as (lo, hi, count): ``count``
+    evenly spaced edges, or with ``count`` None 54 levels accumulating
+    geometrically at ``lo``, which resolve the |t|^alpha cusp of the
+    characteristic function at t = 0."""
+    if count is not None:
+        return np.linspace(lo, hi, count)
+    steps = (hi - lo) * 2.0 ** -np.arange(54, 0, -1, dtype=float)
     return np.concatenate([[lo], lo + steps, [hi]])
 
 
-def _invert_direct(x: float, params: StableParams, t_cut: float, cycles: float) -> float:
-    f = lambda t: _cos_integrand(t, x, params)
+def _inversion(x: float, params: StableParams, t_cut: float):
+    """The quadrature of one density value, as a generator: it yields the
+    panels it integrates over, as :func:`_edges` arguments, is sent the
+    integral of Re[e^{-ixt} phi(t)] there (:func:`_panel_integrate`), and
+    returns f(x) before clamping.  Up to ``_MAX_DIRECT_CYCLES`` oscillation cycles below
+    the cutoff it doubles direct panels; past them it sums half-periods."""
+    cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
+    if cycles <= _MAX_DIRECT_CYCLES:
+        return (yield from _invert_direct(x, t_cut, cycles))
+    return (yield from _invert_accelerated(x, params, t_cut))
+
+
+def _invert_direct(x: float, t_cut: float, cycles: float):
     n = max(16, int(math.ceil(2.0 * cycles)))
 
-    def total(n_panels: int) -> float:
+    def total(n_panels: int):
         first = t_cut / n_panels
-        head = _panel_integrate(f, _graded_edges(0.0, first))
-        return head + _panel_integrate(f, np.linspace(first, t_cut, n_panels))
+        head = yield 0.0, first, None
+        return head + (yield first, t_cut, n_panels)
 
-    prev = total(n)
+    prev = yield from total(n)
     for _ in range(_MAX_REFINEMENTS):
         n *= 2
-        cur = total(n)
+        cur = yield from total(n)
         if abs(cur - prev) < _TOL:
-            tail = _panel_integrate(f, np.linspace(t_cut, 2.0 * t_cut, 65))
+            tail = yield t_cut, 2.0 * t_cut, 65
             if abs(tail) > max(10.0 * _TOL, 1e-8):
                 raise QuadratureError(
                     f"truncation self-check failed at x={x}: doubling the "
@@ -200,19 +257,18 @@ def _averaged_tail(partial_sums: list[float], window: int = 40) -> float:
     return float(arr[0])
 
 
-def _invert_accelerated(x: float, params: StableParams, t_cut: float) -> float:
+def _invert_accelerated(x: float, params: StableParams, t_cut: float):
     """Far-tail inversion: integrate half-periods of the oscillation and
     accelerate the alternating series.  Used when direct panel quadrature
     would need more than ``_MAX_DIRECT_CYCLES`` oscillation cycles."""
     freq = abs(x - params.mu)
     h = math.pi / freq
-    f = lambda t: _cos_integrand(t, x, params)
-    partial = [_panel_integrate(f, _graded_edges(0.0, h))]
+    partial = [(yield 0.0, h, None)]
     prev_est = None
     stable_hits = 0
     k = 1
     while k < _ACCEL_MAX_TERMS:
-        term = _panel_integrate(f, np.linspace(k * h, (k + 1) * h, 3))
+        term = yield k * h, (k + 1) * h, 3
         partial.append(partial[-1] + term)
         if k * h > t_cut:
             # envelope exhausted: the running sum is already the integral

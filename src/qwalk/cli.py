@@ -35,8 +35,8 @@ from . import __version__, decoherence, pricing
 from .classical import (
     QuadratureError,
     StableParams,
+    _stable_pdfs,
     classical_rw_distribution,
-    stable_pdf,
 )
 from .coin import CoinAngles, make_su2_coin
 from .decoherence import DecoherenceSpec, run_ensemble
@@ -593,8 +593,9 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     inside = (idx >= 0) & (idx < bins)
     quantum = unit_mass("quantum", np.bincount(idx[inside], ensemble.mean.probs[inside], bins))
 
-    # Simpson's rule per bin; neighbouring bins share their edge values
-    f_edges, f_mid = (np.array([stable_pdf(x, stable) for x in xs]) for xs in (edges, centers))
+    # Simpson's rule per bin; neighbouring bins share their edge values, and
+    # mirrored abscissae their quadrature
+    f_edges, f_mid = np.split(np.array(_stable_pdfs([*edges, *centers], stable)), [bins + 1])
     stable_mass = (f_edges[:-1] + 4.0 * f_mid + f_edges[1:]) / 6.0 * (edges[1:] - edges[:-1])
     stable_col = unit_mass("stable", stable_mass)
 

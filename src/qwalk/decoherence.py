@@ -35,6 +35,14 @@ is noiseless exactly when its probability is 0, in any mode ("none" is the
 name of p = 0), or when n = 0: it is one unitary walk per theta, draws no
 stream, and each mean is that walk's own probabilities.
 
+A sweep walks that unitary series once per theta in any case.  A
+realization is quiet at p when its noise never acts there: none of its
+accept draws is below p_tilde, or none of its link uniforms below p.  Its
+walk is then the unitary walk bit for bit, so the engine walks only the
+other realizations and hands the quiet ones the unitary series.  Their
+streams are still made and drawn, and every row keeps its place, so the
+stream contract, the means and the standard errors are unchanged.
+
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
 """
@@ -47,7 +55,7 @@ import numpy as np
 
 from .coin import TWO_PI, _coins, _reduced
 from .walk import (InitialCoinState, PositionDistribution, _check_integer, _grid_cost,
-                   _grid_probs, _probs, _walk_bytes, propagate)
+                   _grid_probs, _propagate_probs, _walk_bytes)
 
 __all__ = [
     "DecoherenceSpec",
@@ -109,7 +117,9 @@ class EnsembleResult:
 
 
 def realization_rng(seed: int, r: int) -> np.random.Generator:
-    """The independent random stream of realization ``r`` under ``seed``."""
+    """The independent random stream of realization ``r`` under ``seed``, an
+    integer >= 0 (a float or a bool is a ``ValueError``)."""
+    _check_integer("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
 
 
@@ -140,24 +150,26 @@ def run_ensemble(
     make_theta_coin(theta), n)).probs`` bit for bit, and the sem is 0.  It is
     the sweep at (p, theta) alone; a sweep shares each chunk's streams and
     draws across every p and theta and gives each pair this result, bit for
-    bit.  ``n`` and ``realizations`` must be integers, not bools.
+    bit.  ``n`` and ``realizations`` must be integers, not bools, and so
+    must ``seed`` wherever a stream is made.
     """
     return _sweep(ic, [theta], spec.mode, [spec.p], n, realizations, seed)[0][0]
 
 
 def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleResult]]:
     """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
-    of ``thetas``, one list per p, walked as :func:`_walks` lays out: every
-    chunk's streams are made and drawn once, then walked at each noisy p and
-    each theta; the noiseless entries share one walk per theta, the pairs
-    (0, theta) in batches of ``_grid_probs``."""
+    of ``thetas``, one list per p, walked as :func:`_walks` lays out: the
+    unitary series once per theta, then every chunk's streams are made and
+    drawn once and walked at each noisy p and each theta; the noiseless
+    entries share the unitary series."""
     _check_integer("realizations", realizations, 1)
     _check_integer("step count", n, 0)
 
     size = 2 * n + 1
     noisy, noiseless = _walks(ps, n)
+    unitary = _unitary(ic, thetas, n)
     acc, acc_sq = np.zeros((2, len(noisy) * len(thetas), size))
-    for _, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed) if noisy else ():
+    for _, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed, unitary) if noisy else ():
         for k, probs in enumerate(walks):
             acc[k] += probs.sum(axis=0)
             acc_sq[k] += (probs**2).sum(axis=0)
@@ -172,69 +184,105 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleRes
     swept = {p: results[i * len(thetas) : (i + 1) * len(thetas)] for i, p in enumerate(noisy)}
     if noiseless:
         unitary = [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
-                   for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n)
-                   for p in probs]
+                   for p in unitary]
     return [swept[p] if p in swept else unitary for p in ps]
 
 
 def _walks(ps, n: int) -> tuple[list, bool]:
     """(the distinct nonzero p of ``ps``, largest first; whether a p is 0 or
-    ``n`` is): the noisy and the unitary walks of a sweep, per theta."""
+    ``n`` is): the noisy and the noiseless entries of a sweep, per theta.
+    Both take the unitary walk, which serves the noiseless entries and every
+    quiet realization of the noisy ones (see :func:`_chunk_walks`)."""
     noisy = sorted({p for p in ps if p}, reverse=True) if n else []
     return noisy, not n or 0.0 in ps
 
 
+def _unitary(ic, thetas, n: int) -> np.ndarray:
+    """The unitary series: the probabilities of the noiseless walk at each of
+    ``thetas``, a (len(thetas), 2n+1) array, walked in :func:`_grid_probs`'
+    batches of the pairs (0, theta)."""
+    series, start = np.empty((len(thetas), 2 * n + 1)), 0
+    for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n):
+        series[start : start + len(probs)] = probs
+        start += len(probs)
+    return series
+
+
 def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
     """(site updates, bytes of one batch, bytes of the finished series) of
-    :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: each
-    noisy p walks n^2 per realization and theta in the batches :func:`_chunks`
+    :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: the
+    unitary series costs its ``_grid_cost``, each noisy p walks n^2 per
+    realization and theta, quiet ones included, in the batches :func:`_chunks`
     builds, min(realizations, ``_CHUNK``) walks with :func:`_chunk_walks`'
-    count mask and its uniforms for broken links, the unitary series costs its
-    ``_grid_cost``, and six (2n+1) float rows stay per theta and noisy p."""
-    noisy, noiseless = _walks(ps, n)
-    updates, batch = _grid_cost(thetas * noiseless, n)
+    count mask and its uniforms for broken links, and the unitary series and
+    six (2n+1) float rows per noisy p stay per theta."""
+    noisy, _ = _walks(ps, n)
+    updates, batch = _grid_cost(thetas, n)
     counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
     chunk = _walk_bytes(n, min(realizations, _CHUNK), counts) if noisy else 0
     return (updates + thetas * len(noisy) * realizations * n**2, max(batch, chunk),
-            48 * thetas * (2 * n + 1) * max(1, len(noisy)))
+            8 * thetas * (2 * n + 1) * (1 + 6 * max(1, len(noisy))))
 
 
-def _chunks(ic, thetas, mode, ps, n, realizations, seed):
+def _chunks(ic, thetas, mode, ps, n, realizations, seed, unitary):
     """Per chunk of ``_CHUNK`` realizations, in increasing r: its streams and
     :func:`_chunk_walks` of them, which draws their noise when first asked."""
     for start in range(0, realizations, _CHUNK):
         rngs = [realization_rng(seed, r) for r in range(start, min(start + _CHUNK, realizations))]
-        yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs)
+        yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary)
 
 
-def _chunk_walks(ic, thetas, mode, ps, n, rngs):
+def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
     """Position probabilities, a C-contiguous (len(rngs), 2n+1) array at each
     p of the non-increasing ``ps`` and, within it, each of ``thetas`` in turn,
     of one walk per generator.  Each generator draws its uniforms once, before
-    the first walk, and every p derives its noise from them.  The noise lives
-    here alone, so it goes when this finishes or is dropped, before the next
+    the first walk, and every p derives its noise from them.
+
+    A walk is quiet at p when none of its uniforms that p compares is below p,
+    its accept draws or its link uniforms: no phase is kicked and no link
+    breaks, so it is the unitary walk bit for bit, and its row is that theta's
+    row of the unitary series ``unitary``.  Only the other walks are walked;
+    a walk quiet at p is quiet at every smaller p.  The noise lives here
+    alone, so it goes when this finishes or is dropped, before the next
     chunk's is drawn."""
-    phase, counts = np.ones(len(rngs)), None  # per walk: one real coin for every step
+    walks = len(rngs)
     if mode == "broken_links":
         # per link, how many of ps exceed its uniform: each p, largest first,
         # breaks the links whose count is nonzero, then the counts step down; a
         # walk draws its uniforms 8 batch rows at a time, in the buffers' room
-        counts = np.zeros((len(rngs), n, 2 * n + 2), dtype=np.min_scalar_type(len(ps)))
-        for count, rng in zip(counts, rngs):
-            for rows in np.split(count, range(8 * len(rngs), n, 8 * len(rngs))):
+        noise = np.zeros((walks, n, 2 * n + 2), dtype=np.min_scalar_type(len(ps)))
+        low = np.ones(walks)
+        for i, (count, rng) in enumerate(zip(noise, rngs)):
+            for rows in np.split(count, range(8 * walks, n, 8 * walks)):
                 u = rng.random(rows.shape)
+                low[i] = u.min(initial=low[i])
                 for p in ps:
                     rows += u < p
             del u  # freed before the next realization draws its own
     elif mode == "random_phase":
-        draws = np.array([rng.random((n, 2)) for rng in rngs])
-        accept, angles = draws[:, :, 0].T, TWO_PI * draws[:, :, 1].T  # (n, B)
+        noise = np.array([rng.random((n, 2)) for rng in rngs])  # per step (accept, phase)
+        low = noise[:, :, 0].min(axis=1, initial=1.0)
+    fired = np.arange(walks)  # noise row r holds walk fired[r]
     for i, p in enumerate(ps):
+        # the walks fired at p keep their order and move up to the first rows,
+        # each read before it is overwritten: the noise is never copied whole
+        keep = low[fired] < p
+        for r, row in enumerate(np.flatnonzero(keep)):
+            if r < row:
+                noise[r] = noise[row]
+        fired = fired[keep]
+        live = noise[: len(fired)]
         if mode == "random_phase":  # exp(i zeta) once, of zeta reduced as the coin's
-            phase = np.exp(1j * _reduced(0.0, 0.0, np.where(accept < p, angles, 0.0))[2])
-        elif i:  # every nonzero count steps down to this p, in place
-            np.maximum(counts, 1, out=counts)
-            counts -= 1
-        for theta in thetas:  # this theta's coins and amplitudes go before the next's come
-            yield _probs(*propagate(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n,
-                                    broken=counts))
+            zeta = np.where(live[:, :, 0].T < p, TWO_PI * live[:, :, 1].T, 0.0)
+            phase, broken = np.exp(1j * _reduced(0.0, 0.0, zeta)[2]), None
+        else:  # one real coin for every step; every nonzero count steps down to p
+            phase, broken = np.ones(len(fired)), live
+            if i:
+                np.maximum(broken, 1, out=broken)
+                broken -= 1
+        for series, theta in zip(unitary, thetas):  # each theta's coins go before the next's come
+            probs = _propagate_probs(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken)
+            if len(fired) < walks:  # the quiet rows take the unitary walk's
+                probs, walked = np.empty((walks, 2 * n + 1)), probs
+                probs[low >= p], probs[fired] = series, walked
+            yield probs

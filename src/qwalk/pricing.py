@@ -170,8 +170,10 @@ def qw_price_path(
     and horizons are order-independent.  At p > 0 the walk is realization h
     of the ensemble engine, whose noise that stream draws first; at p = 0, in
     any mode, it is the one unitary walk, walked once, which also calibrates.
+    ``total_steps`` and ``seed`` must be integers, not bools.
     """
     _check_integer("total_steps", total_steps, 1)
+    _check_integer("seed", seed, 0)
     _check_lattice_scale(lattice_scale)
     spec = model.decoherence
     unitary = None if spec.p else _model_distribution(model, seed, 1)
@@ -185,8 +187,9 @@ def qw_price_path(
     sites = np.arange(-n, n + 1)
     prices = [model.s0]
     if unitary is None:
-        chunks = decoherence._chunks(
-            model.ic, [model.angles.theta], spec.mode, [spec.p], n, total_steps, seed)
+        thetas = [model.angles.theta]
+        chunks = decoherence._chunks(model.ic, thetas, spec.mode, [spec.p], n, total_steps, seed,
+                                     decoherence._unitary(model.ic, thetas, n))
         horizons = ((rng, p) for rngs, walks in chunks for rng, p in zip(rngs, next(walks)))
     else:
         horizons = ((decoherence.realization_rng(seed, h), unitary.probs)
@@ -203,8 +206,11 @@ def qw_price_path(
 def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
     """(site updates, bytes of one batch) of :func:`qw_price_path` over
     ``horizons`` with a calibrated lattice scale: a unitary walk serves every
-    horizon; a stochastic one is walked per horizon and per calibration
-    realization, in ``decoherence._sweep_cost``'s batches."""
+    horizon; a stochastic one is two sweeps of ``decoherence._sweep_cost``,
+    the calibration's realizations and then one realization per horizon."""
     spec = model.decoherence
-    return decoherence._sweep_cost(spec.mode, [spec.p], model.steps_per_horizon,
-                                   horizons + _CALIBRATION_REALIZATIONS)[:2]
+    sweeps = [_CALIBRATION_REALIZATIONS, horizons] if spec.p else [1]
+    updates, batch, _ = zip(*(decoherence._sweep_cost(spec.mode, [spec.p],
+                                                      model.steps_per_horizon, r)
+                              for r in sweeps))
+    return sum(updates), max(batch)

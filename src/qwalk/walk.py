@@ -73,6 +73,8 @@ class WalkState:
     """Walker amplitudes after ``n`` steps.
 
     ``a`` and ``b`` span the sites [-n, +n]; site j lives at index j + n.
+    An ``n`` that is not an integer >= 0, a float or a bool included, is a
+    ``ValueError``.
     """
 
     n: int
@@ -80,6 +82,7 @@ class WalkState:
     b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_integer("n", self.n, 0)
         for name in ("a", "b"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (2 * self.n + 1,):
@@ -96,13 +99,15 @@ class PositionDistribution:
 
     Distributions produced by :func:`position_distribution` sum to one; the
     figure-parity rescaling in :mod:`qwalk.stats` may return deliberately
-    non-normalized instances.
+    non-normalized instances.  ``n`` must be an integer >= 0, as in
+    :class:`WalkState`.
     """
 
     n: int
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_integer("n", self.n, 0)
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (2 * self.n + 1,):
             raise ValueError(
@@ -144,6 +149,30 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
     the per-step broken-link oracle in ``tests/helpers.py``, bit for bit.  Such
     walks fill both parities, so their step k reads the whole support [-k, k].
     """
+    a, b = _steps(a0, b0, coins, n, broken)
+    return _layout(a, n, broken), _layout(b, n, broken)
+
+
+def _propagate_probs(a0, b0, coins, n: int, broken=None) -> np.ndarray:
+    """The position probabilities, (B, 2n+1), of :func:`propagate`'s walks,
+    formed on the compact step buffers and laid out once; equal to
+    ``_probs(*propagate(...))`` bit for bit."""
+    return _layout(_probs(*_steps(a0, b0, coins, n, broken)), n, broken)
+
+
+def _layout(rows: np.ndarray, n: int, broken) -> np.ndarray:
+    """The (B, 2n+1) site layout of one of :func:`_steps`' compact buffers,
+    zero on the sites it does not hold."""
+    out = np.zeros((rows.shape[1], 2 * n + 1), dtype=rows.dtype)
+    out[:, :: 2 - (broken is not None)] = rows.T
+    return out
+
+
+def _steps(a0, b0, coins, n: int, broken):
+    """The step loop of :func:`propagate`: the final amplitudes ``a``, ``b`` as
+    its compact ((1 + full) n + 1, B) buffers, where row r holds site -n + 2r
+    of the occupied sublattice, or site -n + r of a broken-link walk's full
+    window (full = ``broken`` is given)."""
     _check_integer("step count", n, 0)
     coins = np.asarray(coins, dtype=complex)
     if coins.ndim < 3 or coins.shape[-2:] != (2, 2) or coins.shape[:-3] not in ((), (n,)):
@@ -180,19 +209,17 @@ def propagate(a0, b0, coins, n: int, broken=None) -> tuple[np.ndarray, np.ndarra
             dn = b_next[n - k - 1 : n + k + 1].reshape(-1)
             up[hit], dn[hit] = dn[hit], up[hit]
         a, a_next, b, b_next = a_next, a, b_next, b
-    # the spent buffers, the coin tiles and the views into them go before the
-    # results come
-    a_next = b_next = a_src = b_src = c00 = c01 = c10 = c11 = None
-    a_out, b_out = (np.zeros((walks, 2 * n + 1), dtype=complex) for _ in range(2))
-    a_out[:, :: 2 - full], b_out[:, :: 2 - full] = a.T, b.T
-    return a_out, b_out
+    # the spent buffers, the coin tiles and the views into them go when this
+    # returns, before the caller's results come
+    return a, b
 
 
 def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
     """An upper bound on the bytes one :func:`propagate` call over ``batch``
     ``n``-step walks holds at once: eight (2n+1, batch) complex arrays cover
     its four step buffers and up to four coin tiles (two buffers and the tiles
-    go before its two results come), or a random-phase chunk's per-step coins,
+    go before its results come, two amplitude arrays or one of probabilities
+    with three real scratch arrays), or a random-phase chunk's per-step coins,
     their copy, uniforms, angles and phases (168n bytes a walk).  Broken links
     add the (batch, n, 2n+2) count mask of ``count_bytes`` a link and 41 bytes
     a link of swap scratch (a flag copy, an int64 index and two complex values);
@@ -250,7 +277,7 @@ def _grid_probs(ic: InitialCoinState, pairs, n: int):
     while chunk := list(itertools.islice(pairs, _GRID_CHUNK)):
         coins = _coins(*np.array(chunk, dtype=float).T, 0.0)  # xi, theta and zeta = 0
         _check_unitary(coins)
-        yield _probs(*propagate(ic.a0, ic.b0, coins, n))  # the amplitudes go at once
+        yield _propagate_probs(ic.a0, ic.b0, coins, n)
 
 
 def _grid_cost(walks: int, n: int) -> tuple[int, int]:

@@ -173,3 +173,26 @@ def test_stable_pdf_reports_failed_self_check(monkeypatch):
     monkeypatch.setattr(classical, "_MAX_REFINEMENTS", 0)
     with pytest.raises(QuadratureError):
         stable_pdf(1.0, params)
+    # a list reports its first failing abscissa, as point by point
+    with pytest.raises(QuadratureError, match=r"at x=-2\.0$"):
+        classical._stable_pdfs([-2.0, 0.5, 2.0], params)
+
+
+@pytest.mark.parametrize("params, x", [
+    (StableParams(0.5, 0.5, c=ROOT_HALF), 1.3),  # mu = 0: the mirror conjugates e^{-ixt}
+    (StableParams(1.2, -0.3, c=0.8, mu=0.5), 2.25),  # mu != 0: phi shared, no conjugate
+    (StableParams(1.0, 0.7), 0.9),  # alpha = 1: the logarithmic branch
+    (StableParams(0.5, 0.5, c=ROOT_HALF), 200.0),  # 61,000 cycles: accelerated
+], ids=["mu0", "mu_shifted", "alpha1", "accelerated"])
+def test_list_evaluation_equals_single_points_bitwise(monkeypatch, params, x):
+    mirror = 2.0 * params.mu - x
+    assert abs(x - params.mu) == abs(mirror - params.mu)
+    phis, cf = [], classical.stable_cf
+    monkeypatch.setattr(classical, "stable_cf", lambda t, p: phis.append(1) or cf(t, p))
+    alone = [stable_pdf(x, params), stable_pdf(mirror, params)]
+    calls_alone = len(phis)
+    phis.clear()
+    together = classical._stable_pdfs([x, mirror], params)
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+    assert together[0] != together[1]  # beta != 0: two distinct values
+    assert 2 * len(phis) == calls_alone  # one phi per panel set of the pair

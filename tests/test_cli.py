@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk import cli, decoherence, walk
+from qwalk import classical, cli, decoherence, walk
 from qwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -28,7 +28,7 @@ from qwalk.cli import (
     run,
     write_outputs,
 )
-from qwalk.classical import stable_pdf
+from qwalk.classical import _stable_pdfs
 from qwalk.coin import _coins, make_theta_coin
 from qwalk.decoherence import realization_rng
 from qwalk.stats import moments
@@ -366,7 +366,7 @@ def test_cli_exit_code_on_self_check_failure(tmp_path, monkeypatch, capsys):
     # empty (the Gaussian, centred there, is not), which must be reported as
     # a numerical failure before any stable density is computed
     calls = []
-    monkeypatch.setattr(cli, "stable_pdf", lambda *a: calls.append(a) or stable_pdf(*a))
+    monkeypatch.setattr(cli, "_stable_pdfs", lambda *a: calls.append(a) or _stable_pdfs(*a))
     doc = dict(COMPARE_DOC, gaussian={"mu": 55.0, "sigma": 2.0})
     doc["axis"] = {"start": 50.0, "stop": 60.0, "bins": 5}
     cfg_path = write_config(tmp_path, doc)
@@ -567,7 +567,9 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         # one whole chunk of the engine: its (accept, phase) uniforms, its
         # zetas, its (n, walks, 2, 2) coins and the propagate call
         rngs = [realization_rng(4, r) for r in range(walks)]
-        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], "random_phase", [0.5], n, rngs)
+        unitary = decoherence._unitary(SYMMETRIC_IC, [0.7], n)
+        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], "random_phase", [0.5], n, rngs,
+                                         unitary)
         held, run = 0, lambda: list(chunk)
     else:
         if case == "broken_links":  # the engine's one real coin: no coin tiles
@@ -703,21 +705,47 @@ BROKEN_MODEL = dict(PRICE_DOC["model"], decoherence={"mode": "broken_links", "p"
     DIST_DOC,
 ])
 def test_announced_work_equals_walked_work(monkeypatch, doc):
-    announced, walked = [], []
+    announced, walked, quiet, streams = [], [], [], {}
 
     def check_size(site_updates, *costs):
         announced.append(site_updates)
 
-    def counted(a0, b0, coins, n, broken=None):
-        walked.append(np.shape(coins)[-3] * n**2)
-        return propagate(a0, b0, coins, n, broken)
+    def counted(kernel):
+        def count(a0, b0, coins, n, broken=None):
+            walked.append(np.shape(coins)[-3] * n**2)
+            return kernel(a0, b0, coins, n, broken)
+        return count
 
+    def stream(seed, r):
+        streams[r, seed] = rng = realization_rng(seed, r)
+        return rng
+
+    def chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
+        # the rows filled from the unitary series, counted from fresh copies of
+        # the streams: a realization is quiet at p when none of the uniforms
+        # its noise compares is below p
+        seeds = {id(rng): key for key, rng in streams.items()}
+        for rng in rngs:
+            r, seed = seeds[id(rng)]
+            u = realization_rng(seed, r).random((n, 2) if mode == "random_phase" else (n, 2 * n + 2))
+            low = (u[:, 0] if mode == "random_phase" else u).min(initial=1.0)
+            quiet.append(len(thetas) * n**2 * sum(low >= p for p in ps))
+        return engine(ic, thetas, mode, ps, n, rngs, unitary)
+
+    engine = decoherence._chunk_walks
     monkeypatch.setattr(cli, "_check_size", check_size)
-    for module in (walk, decoherence):  # every engine's binding of the kernel
-        monkeypatch.setattr(module, "propagate", counted)
+    # every engine's binding of the kernel's two entries
+    monkeypatch.setattr(walk, "propagate", counted(propagate))
+    probs = counted(walk._propagate_probs)
+    for module in (walk, decoherence):
+        monkeypatch.setattr(module, "_propagate_probs", probs)
+    monkeypatch.setattr(decoherence, "realization_rng", stream)
+    monkeypatch.setattr(decoherence, "_chunk_walks", chunk_walks)
     cfg = make_cfg(doc)
     cli._COMMANDS[cfg.experiment](cfg)
-    assert announced == [sum(walked)] and sum(walked) > 0
+    assert announced == [sum(walked) + sum(quiet)] and sum(walked) > 0
+    # at n = 10 and 6, p_tilde = 0.1 leaves about 35% and 53% of the walks quiet
+    assert sum(quiet) > 0 or cfg.experiment != "entropy"
 
 
 @pytest.mark.parametrize("model", [
@@ -766,15 +794,24 @@ def test_cli_io_errors_exit_2_without_leaving_files(tmp_path, capsys, monkeypatc
 
 
 def test_compare_returns_evaluates_each_stable_abscissa_once(monkeypatch):
-    calls = []
+    calls, phis, cf = [], [], classical.stable_cf
 
-    def counting_pdf(x, params):
-        calls.append(float(x))
-        return stable_pdf(x, params)
+    def counting_pdfs(xs, params):
+        calls.append([float(x) for x in xs])
+        return _stable_pdfs(xs, params)
 
-    monkeypatch.setattr(cli, "stable_pdf", counting_pdf)
-    cmd_compare_returns(make_cfg(COMPARE_DOC))
-    assert len(calls) == len(set(calls)) == 2 * 13 + 1
+    monkeypatch.setattr(cli, "_stable_pdfs", counting_pdfs)
+    monkeypatch.setattr(classical, "stable_cf", lambda t, params: phis.append(1) or cf(t, params))
+    cfg = make_cfg(COMPARE_DOC)
+    cmd_compare_returns(cfg)
+    (xs,) = calls  # one call for the stable column
+    assert len(xs) == len(set(xs)) == 2 * 13 + 1
+    # one phi per panel set of each mirror pair: as many as one abscissa of
+    # each |x| alone takes (23 of the 27 here)
+    paired = len(phis)
+    phis.clear()
+    _stable_pdfs(list({abs(x): x for x in xs}.values()), cfg.spec[5])
+    assert paired == len(phis) and len({abs(x) for x in xs}) < len(xs)
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--realizations", "0")])

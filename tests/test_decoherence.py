@@ -195,11 +195,13 @@ def test_ensemble_matches_public_step_surface_in_any_order():
     (0, 0.35, 1), (1, 1.0, 129), (1, 0.35, 128), (7, 0.0, 127), (7, 0.35, 129),
     (7, 1.0, 128), (100, 0.35, 129), (100, 1.0, 1), (100, 0.0, 127),
     (100, 0.35, 3),  # uniforms drawn 24 rows at a time: the replay's one stream
+    (7, 0.002, 128),  # 105 of the 128 walks draw no uniform below p: quiet
 ])
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
     rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
-    (got,) = decoherence._chunk_walks(ic, [1.1], spec.mode, [p], n, rngs)
+    unitary = decoherence._unitary(ic, [1.1], n)
+    (got,) = decoherence._chunk_walks(ic, [1.1], spec.mode, [p], n, rngs, unitary)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     for i, probs in enumerate(got):
         want = replay_walk(ic, 1.1, spec, n, realization_rng(11, 5 + i)).probs
@@ -312,7 +314,8 @@ def test_random_phase_engine_walks_the_su2_coin_bytes(ic, monkeypatch):
     for u0 in (0.61, 1 - 2**-53, 1.0):
         coin = make_su2_coin(CoinAngles(0.0, theta, TWO_PI * u0))
         rngs = [FixedPhaseRng(u0)] * walks
-        (probs,) = decoherence._chunk_walks(ic, [theta], "random_phase", [1.0], n, rngs)
+        (probs,) = decoherence._chunk_walks(ic, [theta], "random_phase", [1.0], n, rngs,
+                                            decoherence._unitary(ic, [theta], n))
         per_step = built.pop()
         assert per_step.shape == (n, walks, 2, 2) and not built
         assert all(c.tobytes() == coin.matrix.tobytes() for c in per_step.reshape(-1, 2, 2))
@@ -350,11 +353,14 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
 
 @pytest.mark.parametrize("theta,p_tilde,n,count", [
     (0.3, 0.01, 1, 3), (THETA, 0.1, 50, 128), (1.5, 1.0, 20, 64), (1.1, 0.4, 33, 5),
+    (THETA, 0.01, 50, 128),  # 70 of the 128 walks are quiet: no accept draw below p
+    (1.1, 0.3, 3, 1),  # the one walk is quiet: no walk fires
 ])
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.random_phase(p_tilde)
     rngs = [realization_rng(9, r) for r in range(3, 3 + count)]
-    (got,) = decoherence._chunk_walks(ic, [theta], spec.mode, [p_tilde], n, rngs)
+    unitary = decoherence._unitary(ic, [theta], n)
+    (got,) = decoherence._chunk_walks(ic, [theta], spec.mode, [p_tilde], n, rngs, unitary)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
     assert np.array_equal(got, want)
@@ -429,25 +435,43 @@ def test_p_sweep_equals_per_p_ensembles_bitwise(mode, ps, realizations, thetas):
 
 @pytest.mark.parametrize("kwargs", [
     {"realizations": 2.5}, {"realizations": True}, {"n": 2.0}, {"n": True},
+    {"seed": 2.5}, {"seed": True},  # 2.5 failed inside numpy, and True ran as seed 1
 ])
 def test_ensemble_counts_must_be_integers(kwargs):
-    args = dict(n=4, realizations=3) | kwargs
+    args = dict(n=4, realizations=3, seed=1) | kwargs
     with pytest.raises(ValueError, match="must be an integer"):
-        run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.2), seed=1, **args)
+        run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.broken_links(0.2), **args)
+    if "seed" in kwargs:  # the stream checks its own seed
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            realization_rng(kwargs["seed"], 0)
 
 
-def test_random_phase_peak_memory_does_not_grow_with_realizations():
+def test_random_phase_peak_memory_does_not_grow_with_realizations(monkeypatch):
+    # numpy's own allocations, sampled after each chunk is walked: the data the
+    # engine holds from one chunk to the next.  The interpreter's free lists
+    # and the spawn-key ints past 256 lie outside numpy's domain; the
+    # (accept, phase) uniforms of 5000 realizations would be 1.6 MB
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    chunks, held = decoherence._chunks, []
+
+    def sampled(*args):
+        for chunk in chunks(*args):
+            yield chunk
+            snapshot = tracemalloc.take_snapshot().filter_traces(numpy_data)
+            held.append(sum(trace.size for trace in snapshot.traces))
+
+    monkeypatch.setattr(decoherence, "_chunks", sampled)
+
     def peak(realizations):
+        held.clear()
         tracemalloc.start()
         try:
             run_ensemble(SYMMETRIC_IC, THETA, DecoherenceSpec.random_phase(0.1), 20,
                          realizations, 1)
-            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(held) == -(-realizations // decoherence._CHUNK)
+        return max(held)
 
     peak(256)  # warm-up: first-call allocations are not the engine's
-    # tracemalloc also counts objects parked on Python's free lists and the
-    # spawn-key ints past 256, which are not cached: about 8 KB more at 5000
-    # realizations.  Their (accept, phase) uniforms would be 1.6 MB.
     assert peak(5000) <= peak(256) + 16 * 1024

@@ -257,10 +257,13 @@ def test_explicit_lattice_scale_must_be_positive_and_finite(dx):
             qw_price_path(model_with(), total_steps=3, seed=0, lattice_scale=dx)
 
 
-@pytest.mark.parametrize("steps", [2.5, True])
-def test_price_path_horizon_count_must_be_an_integer(steps):
+@pytest.mark.parametrize("value", [2.5, True])
+def test_price_path_horizon_count_must_be_an_integer(value):
     with pytest.raises(ValueError, match="total_steps must be an integer >= 1"):
-        qw_price_path(model_with(), total_steps=steps, seed=0)
+        qw_price_path(model_with(), total_steps=value, seed=0)
+    # and so must its seed: 2.5 failed inside numpy, and True ran as seed 1
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        qw_price_path(model_with(), total_steps=3, seed=value)
 
 
 def test_price_path_rejects_a_price_that_underflows_to_zero():

@@ -23,6 +23,8 @@ from qwalk.walk import (
     SYMMETRIC_IC,
     UP_IC,
     InitialCoinState,
+    PositionDistribution,
+    WalkState,
     _coin_operands,
     evolve,
     position_distribution,
@@ -315,6 +317,12 @@ def test_negative_step_counts_are_rejected_by_propagate_and_evolve(n):
         propagate(1.0, 0.0, HADAMARD.matrix[None], n)
     with pytest.raises(ValueError, match="step count must be an integer >= 0"):
         evolve(UP_IC, HADAMARD, n)
+    # the results check theirs too: 2.5 and True pass a length check of 2n + 1
+    size = max(0, int(2 * n + 1))
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        PositionDistribution(n=n, probs=np.ones(size))
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        WalkState(n=n, a=np.ones(size), b=np.ones(size))
 
 
 def test_propagate_rejects_bad_coin_shapes():
