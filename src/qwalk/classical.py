@@ -216,8 +216,9 @@ def _inversion(x: float, params: StableParams, t_cut: float):
     """The quadrature of one density value, as a generator: it yields the
     panels it integrates over, as :func:`_edges` arguments, is sent the
     integral of Re[e^{-ixt} phi(t)] there (:func:`_panel_integrate`), and
-    returns f(x) before clamping.  Up to ``_MAX_DIRECT_CYCLES`` oscillation cycles below
-    the cutoff it doubles direct panels; past them it sums half-periods."""
+    returns f(x) before clamping.  Up to ``_MAX_DIRECT_CYCLES`` oscillation
+    cycles below the cutoff it doubles direct panels; past them it sums
+    half-periods."""
     cycles = t_cut * abs(x - params.mu) / (2.0 * math.pi)
     if cycles <= _MAX_DIRECT_CYCLES:
         return (yield from _invert_direct(x, t_cut, cycles))

@@ -169,7 +169,8 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleRes
     noisy, noiseless = _walks(ps, n)
     unitary = _unitary(ic, thetas, n)
     acc, acc_sq = np.zeros((2, len(noisy) * len(thetas), size))
-    for _, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed, unitary) if noisy else ():
+    chunks = _chunks(ic, thetas, mode, noisy, n, realizations, seed, unitary) if noisy else ()
+    for _, walks in chunks:
         for k, probs in enumerate(walks):
             acc[k] += probs.sum(axis=0)
             acc_sq[k] += (probs**2).sum(axis=0)
@@ -280,7 +281,7 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
             if i:
                 np.maximum(broken, 1, out=broken)
                 broken -= 1
-        for series, theta in zip(unitary, thetas):  # each theta's coins go before the next's come
+        for series, theta in zip(unitary, thetas):  # a theta's coins go before the next's come
             probs = _propagate_probs(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken)
             if len(fired) < walks:  # the quiet rows take the unitary walk's
                 probs, walked = np.empty((walks, 2 * n + 1)), probs

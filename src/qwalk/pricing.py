@@ -188,8 +188,9 @@ def qw_price_path(
     prices = [model.s0]
     if unitary is None:
         thetas = [model.angles.theta]
-        chunks = decoherence._chunks(model.ic, thetas, spec.mode, [spec.p], n, total_steps, seed,
-                                     decoherence._unitary(model.ic, thetas, n))
+        unitary_series = decoherence._unitary(model.ic, thetas, n)
+        chunks = decoherence._chunks(model.ic, thetas, spec.mode, [spec.p], n, total_steps,
+                                     seed, unitary_series)
         horizons = ((rng, p) for rngs, walks in chunks for rng, p in zip(rngs, next(walks)))
     else:
         horizons = ((decoherence.realization_rng(seed, h), unitary.probs)

@@ -727,7 +727,8 @@ def test_announced_work_equals_walked_work(monkeypatch, doc):
         seeds = {id(rng): key for key, rng in streams.items()}
         for rng in rngs:
             r, seed = seeds[id(rng)]
-            u = realization_rng(seed, r).random((n, 2) if mode == "random_phase" else (n, 2 * n + 2))
+            shape = (n, 2) if mode == "random_phase" else (n, 2 * n + 2)
+            u = realization_rng(seed, r).random(shape)
             low = (u[:, 0] if mode == "random_phase" else u).min(initial=1.0)
             quiet.append(len(thetas) * n**2 * sum(low >= p for p in ps))
         return engine(ic, thetas, mode, ps, n, rngs, unitary)
@@ -801,7 +802,7 @@ def test_compare_returns_evaluates_each_stable_abscissa_once(monkeypatch):
         return _stable_pdfs(xs, params)
 
     monkeypatch.setattr(cli, "_stable_pdfs", counting_pdfs)
-    monkeypatch.setattr(classical, "stable_cf", lambda t, params: phis.append(1) or cf(t, params))
+    monkeypatch.setattr(classical, "stable_cf", lambda t, p: phis.append(1) or cf(t, p))
     cfg = make_cfg(COMPARE_DOC)
     cmd_compare_returns(cfg)
     (xs,) = calls  # one call for the stable column
