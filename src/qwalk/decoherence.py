@@ -267,7 +267,8 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
     for i, p in enumerate(ps):
         # the walks fired at p keep their order and move up to the first rows,
         # each read before it is overwritten: the noise is never copied whole
-        keep = low[fired] < p
+        quiet = low >= p
+        keep = ~quiet[fired]
         for r, row in enumerate(np.flatnonzero(keep)):
             if r < row:
                 noise[r] = noise[row]
@@ -285,5 +286,5 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
             probs = _propagate_probs(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken)
             if len(fired) < walks:  # the quiet rows take the unitary walk's
                 probs, walked = np.empty((walks, 2 * n + 1)), probs
-                probs[low >= p], probs[fired] = series, walked
+                probs[quiet], probs[fired] = series, walked
             yield probs
