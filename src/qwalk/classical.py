@@ -22,6 +22,13 @@ set for the pair; at mu = 0 the mirror's e^{+ixt} is the conjugate of
 e^{-ixt}.  Each keeps its own refinement, truncation check and error, and
 every value equals :func:`stable_pdf` at that point alone, bit for bit.
 
+The 16-point Gauss-Legendre rule is stored as constants, so the module
+imports neither numpy.polynomial nor LAPACK.  A panel set is evaluated
+1,024 panels at a time, and only the per-panel sums are kept between
+blocks, so a quadrature's working memory does not grow with its panel
+count.  Each node and each panel sum is computed alone, so this moves no
+value.
+
 The parameter convention follows the characteristic function above
 verbatim (the "S1"-style parameterization); no conversion to other
 conventions is attempted.
@@ -33,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .walk import PositionDistribution, _check_integer
 
@@ -48,7 +54,21 @@ __all__ = [
 #: alpha values within this distance of 1 use the logarithmic-omega branch
 ALPHA_ONE_EPS = 1e-8
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+#: the 16-point Gauss-Legendre rule on [-1, 1], mirrored from its 8 positive
+#: nodes, ascending, and their weights: ``numpy.polynomial.legendre.leggauss(16)``
+#: bit for bit, without importing numpy.polynomial or calling LAPACK
+_GL_HALF = [[float.fromhex(h) for h in hexes] for hexes in (
+    ("0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2",
+     "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1",
+     "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1"),
+    ("0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3",
+     "0x1.325f61bca3cbep-3", "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4",
+     "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6"),
+)]
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF[0])] + _GL_HALF[0])
+_GL_WEIGHTS = np.array(_GL_HALF[1][::-1] + _GL_HALF[1])
+#: panels whose Gauss nodes :func:`_panel_integrate` evaluates at once
+_PANEL_BLOCK = 1024
 
 # The fixed quadrature: _TOL is the absolute target for one density value;
 # _TAIL_EPS sets the truncation point T through |phi(T)| = _TAIL_EPS; more than
@@ -108,8 +128,8 @@ def stable_cf(t, params: StableParams):
         w = -(2.0 / math.pi) * np.log(np.abs(tn))
     else:
         w = math.tan(math.pi * params.alpha / 2.0)
-    # exp(i mu t - |c t|^alpha (1 - i beta sign(t) w)) in one buffer: the
-    # quadrature passes ~10^5 nodes, and each complex temporary is 16 B a node
+    # exp(i mu t - |c t|^alpha (1 - i beta sign(t) w)) in one buffer: a
+    # quadrature block passes 16,384 nodes, and each complex temporary is 16 B a node
     z = 1j * params.beta * np.sign(tn)
     z *= w
     np.subtract(1.0, z, out=z)
@@ -182,23 +202,31 @@ def _panel_integrate(xs, params: StableParams, edges: np.ndarray) -> list[float]
     """Composite 16-point Gauss-Legendre of Re[e^{-ixt} phi(t)] over the given
     panel edges, for each x of ``xs`` with one phi(t).  An x equal to the one
     before reuses its e^{-ixt}, and one equal to its negation conjugates it:
-    both are the exponential that x computes itself, bit for bit.  Besides the
-    nodes and phi(t), one exponential and one product are held at a time."""
+    both are the exponential that x computes itself, bit for bit.
+
+    The nodes are evaluated ``_PANEL_BLOCK`` panels at a time, so only one
+    block's t, phi(t), exponential and product are held, and each panel's
+    Gauss sum goes to a per-panel row of every x.  Each node and each panel
+    sum is computed alone, so the rows, and the one ``np.sum`` over each,
+    are those a single block gives."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    nodes = t.ravel()
-    phi = stable_cf(nodes, params)
-    wave, prod, prev, sums = np.empty_like(phi), None, math.nan, []
-    for x in xs:
-        if x == -prev and x != prev:
-            np.conjugate(wave, out=wave)
-        elif x != prev:
-            np.exp(np.multiply(-1j * x, nodes, out=wave), out=wave)
-        prod = np.multiply(phi, wave, out=prod)
-        sums.append(float(np.sum(half * (prod.real.reshape(t.shape) @ _GL_WEIGHTS))))
-        prev = x
-    return sums
+    panels = np.empty((len(xs), len(half)))
+    for lo in range(0, len(half), _PANEL_BLOCK):
+        block = slice(lo, lo + _PANEL_BLOCK)
+        t = mid[block, None] + half[block, None] * _GL_NODES[None, :]
+        nodes = t.ravel()
+        phi = stable_cf(nodes, params)
+        wave, prod, prev = np.empty_like(phi), None, math.nan
+        for x, sums in zip(xs, panels):
+            if x == -prev and x != prev:
+                np.conjugate(wave, out=wave)
+            elif x != prev:
+                np.exp(np.multiply(-1j * x, nodes, out=wave), out=wave)
+            prod = np.multiply(phi, wave, out=prod)
+            sums[block] = prod.real.reshape(t.shape) @ _GL_WEIGHTS
+            prev = x
+    return [float(np.sum(half * sums)) for sums in panels]
 
 
 def _edges(lo: float, hi: float, count: int | None) -> np.ndarray:

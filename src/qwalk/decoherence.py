@@ -27,9 +27,14 @@ step, bit-flip channels) are out of scope here.
 Ensembles are reproducible: realization r uses the random stream derived
 from ``SeedSequence(entropy=seed, spawn_key=(r,))``, so results do not
 depend on evaluation order, and the mean is accumulated in increasing-r
-order.  One loop creates each chunk's streams and draws its uniforms once
+order.  One loop creates each batch's streams and draws its uniforms once
 per command, then walks them at every probability and every theta of a
-sweep: each p derives its noise from the same draws.  An ensemble is the
+sweep: each p derives its noise from the same draws.  The mean sums blocks
+of 128 realizations; a random-phase batch is one block, and a broken-link
+batch half of one, 64 walks, since its link mask grows with n^2 a walk.  A
+block's second batch is summed onto the first one's carried sums, in the
+order one sum over the whole block adds its rows, so the batch size moves
+no byte of any mean or standard error.  An ensemble is the
 sweep at one (p, theta), and price-path horizon h is realization h.  A run
 is noiseless exactly when its probability is 0, in any mode ("none" is the
 name of p = 0), or when n = 0: it is one unitary walk per theta, draws no
@@ -64,8 +69,12 @@ __all__ = [
     "realization_rng",
 ]
 
-#: realizations per chunk of the ensemble loop: walks per propagate call
+#: realizations per summation block of the ensemble loop, and walks per
+#: random-phase propagate call
 _CHUNK = 128
+#: walks per broken-link propagate call: half a summation block, which halves
+#: the batch's (B, n, 2n+2) count mask and its step buffers
+_BROKEN_BATCH = 64
 #: the largest probability of each mode: "none" names the noiseless walk, p = 0
 _MAX_P = {"none": 0.0, "broken_links": 1.0, "random_phase": 1.0}
 
@@ -148,7 +157,7 @@ def run_ensemble(
     renormalized to sum to exactly one.  A noiseless run, p = 0 in any mode
     or n = 0, makes no stream: the mean is ``position_distribution(evolve(ic,
     make_theta_coin(theta), n)).probs`` bit for bit, and the sem is 0.  It is
-    the sweep at (p, theta) alone; a sweep shares each chunk's streams and
+    the sweep at (p, theta) alone; a sweep shares each batch's streams and
     draws across every p and theta and gives each pair this result, bit for
     bit.  ``n`` and ``realizations`` must be integers, not bools, and so
     must ``seed`` wherever a stream is made.
@@ -156,24 +165,44 @@ def run_ensemble(
     return _sweep(ic, [theta], spec.mode, [spec.p], n, realizations, seed)[0][0]
 
 
-def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleResult]]:
+def _sweep(ic, thetas, mode, ps, n, realizations, seed,
+           unitary=None) -> list[list[EnsembleResult]]:
     """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
     of ``thetas``, one list per p, walked as :func:`_walks` lays out: the
-    unitary series once per theta, then every chunk's streams are made and
-    drawn once and walked at each noisy p and each theta; the noiseless
-    entries share the unitary series."""
+    unitary series once per theta (``unitary``, when the caller holds it),
+    then every batch's streams are made and drawn once and walked at each
+    noisy p and each theta; the noiseless entries share the unitary series.
+
+    The sums run over summation blocks of ``_CHUNK`` realizations, each
+    added to the running total in increasing r.  A block is the axis-0 sum
+    of its rows, and numpy's axis-0 sum adds the rows of an array one after
+    the other.  So a block walked in two batches sums the second batch with
+    the first one's sums as its leading row, and gets the sum that one
+    (``_CHUNK``, 2n+1) array of its rows would give, bit for bit."""
     _check_integer("realizations", realizations, 1)
     _check_integer("step count", n, 0)
 
     size = 2 * n + 1
     noisy, noiseless = _walks(ps, n)
-    unitary = _unitary(ic, thetas, n)
-    acc, acc_sq = np.zeros((2, len(noisy) * len(thetas), size))
-    chunks = _chunks(ic, thetas, mode, noisy, n, realizations, seed, unitary) if noisy else ()
-    for _, walks in chunks:
+    if unitary is None:
+        unitary = _unitary(ic, thetas, n)
+    # [sum, sum of squares] per (p, theta) over the closed blocks, and the
+    # open block's, carried from one of its batches to the next
+    sums, block = np.zeros((2, 2, len(noisy) * len(thetas), size))
+    done = 0
+    for rngs, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed,
+                               unitary) if noisy else ():
+        opens = done % _CHUNK == 0
+        if opens:
+            sums += block
+        done += len(rngs)
         for k, probs in enumerate(walks):
-            acc[k] += probs.sum(axis=0)
-            acc_sq[k] += (probs**2).sum(axis=0)
+            for carried, rows in zip(block[:, k], (probs, probs**2)):
+                if not opens:
+                    rows = np.concatenate((carried[None], rows))
+                carried[...] = rows.sum(axis=0)
+    sums += block
+    acc, acc_sq = sums
     mean = acc / realizations
     if realizations > 1:
         var = (acc_sq - realizations * mean**2) / (realizations - 1)
@@ -214,22 +243,31 @@ def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
     :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: the
     unitary series costs its ``_grid_cost``, each noisy p walks n^2 per
     realization and theta, quiet ones included, in the batches :func:`_chunks`
-    builds, min(realizations, ``_CHUNK``) walks with :func:`_chunk_walks`'
-    count mask and its uniforms for broken links, and the unitary series and
-    six (2n+1) float rows per noisy p stay per theta."""
+    builds, min(realizations, ``_BROKEN_BATCH``) walks with :func:`_chunk_walks`'
+    count mask and its uniforms for broken links and min(realizations,
+    ``_CHUNK``) for random phase, and the unitary series and eight (2n+1)
+    float rows per noisy p stay per theta: the running sums and the open
+    block's carried ones, each a sum and a sum of squares, and the statistics."""
     noisy, _ = _walks(ps, n)
     updates, batch = _grid_cost(thetas, n)
-    counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
-    chunk = _walk_bytes(n, min(realizations, _CHUNK), counts) if noisy else 0
+    broken = mode == "broken_links"
+    counts = np.min_scalar_type(len(noisy)).itemsize if broken else 0
+    walks = min(realizations, _BROKEN_BATCH if broken else _CHUNK)
+    chunk = _walk_bytes(n, walks, counts) if noisy else 0
     return (updates + thetas * len(noisy) * realizations * n**2, max(batch, chunk),
-            8 * thetas * (2 * n + 1) * (1 + 6 * max(1, len(noisy))))
+            8 * thetas * (2 * n + 1) * (1 + 8 * max(1, len(noisy))))
 
 
 def _chunks(ic, thetas, mode, ps, n, realizations, seed, unitary):
-    """Per chunk of ``_CHUNK`` realizations, in increasing r: its streams and
-    :func:`_chunk_walks` of them, which draws their noise when first asked."""
-    for start in range(0, realizations, _CHUNK):
-        rngs = [realization_rng(seed, r) for r in range(start, min(start + _CHUNK, realizations))]
+    """Per batch of walks, in increasing r: its streams and :func:`_chunk_walks`
+    of them, which draws their noise when first asked.  A random-phase batch
+    is a summation block of ``_CHUNK`` realizations; a broken-link batch is
+    half of one, ``_BROKEN_BATCH`` walks, because its count mask grows with
+    n^2 a walk.  The batch sets only what is held at once: the rows come in
+    the same order, and :func:`_sweep` sums each block as one."""
+    size = _BROKEN_BATCH if mode == "broken_links" else _CHUNK
+    for start in range(0, realizations, size):
+        rngs = [realization_rng(seed, r) for r in range(start, min(start + size, realizations))]
         yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary)
 
 
@@ -245,7 +283,8 @@ def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
     row of the unitary series ``unitary``.  Only the other walks are walked;
     a walk quiet at p is quiet at every smaller p.  The noise lives here
     alone, so it goes when this finishes or is dropped, before the next
-    chunk's is drawn."""
+    batch's is drawn.  ``rngs`` is one batch of :func:`_chunks`: every walk
+    is one row, whatever the batch's size, so the rows do not depend on it."""
     walks = len(rngs)
     if mode == "broken_links":
         # per link, how many of ps exceed its uniform: each p, largest first,

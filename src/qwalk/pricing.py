@@ -26,7 +26,7 @@ import numpy as np
 
 from . import decoherence
 from .coin import CoinAngles, make_su2_coin
-from .decoherence import DecoherenceSpec, run_ensemble
+from .decoherence import DecoherenceSpec
 from .stats import moments
 from .walk import (InitialCoinState, PositionDistribution, _check_integer, evolve,
                    position_distribution)
@@ -128,13 +128,16 @@ class QwPriceModel:
 
 
 def _model_distribution(
-    model: QwPriceModel, seed: int, realizations: int
+    model: QwPriceModel, seed: int, realizations: int, unitary=None
 ) -> PositionDistribution:
-    if not model.decoherence.p:  # noiseless: the one unitary walk of the model's coin
-        state = evolve(model.ic, make_su2_coin(model.angles), model.steps_per_horizon)
-        return position_distribution(state)
-    return run_ensemble(model.ic, model.angles.theta, model.decoherence,
-                        model.steps_per_horizon, realizations, seed).mean
+    """The walk's distribution: the one unitary walk of the model's coin when
+    it is noiseless, else the mean of the ensemble engine's sweep, which takes
+    its unitary series from ``unitary`` when the caller holds it."""
+    spec, n = model.decoherence, model.steps_per_horizon
+    if not spec.p:
+        return position_distribution(evolve(model.ic, make_su2_coin(model.angles), n))
+    return decoherence._sweep(model.ic, [model.angles.theta], spec.mode, [spec.p], n,
+                              realizations, seed, unitary)[0][0].mean
 
 
 def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
@@ -175,22 +178,22 @@ def qw_price_path(
     _check_integer("total_steps", total_steps, 1)
     _check_integer("seed", seed, 0)
     _check_lattice_scale(lattice_scale)
-    spec = model.decoherence
+    spec, n, thetas = model.decoherence, model.steps_per_horizon, [model.angles.theta]
+    # at p > 0 the unitary series is walked once, for the quiet realizations of
+    # both the calibration sweep and the path
+    series = decoherence._unitary(model.ic, thetas, n) if spec.p else None
     unitary = None if spec.p else _model_distribution(model, seed, 1)
     if lattice_scale is None:
         calibration = unitary if unitary is not None else _model_distribution(
-            model, seed=seed + _CALIBRATION_KEY, realizations=_CALIBRATION_REALIZATIONS)
+            model, seed + _CALIBRATION_KEY, _CALIBRATION_REALIZATIONS, series)
         lattice_scale = _lattice_scale(model, calibration)
 
     f_val = model.scaler.value(model.horizon)
-    n = model.steps_per_horizon
     sites = np.arange(-n, n + 1)
     prices = [model.s0]
     if unitary is None:
-        thetas = [model.angles.theta]
-        unitary_series = decoherence._unitary(model.ic, thetas, n)
         chunks = decoherence._chunks(model.ic, thetas, spec.mode, [spec.p], n, total_steps,
-                                     seed, unitary_series)
+                                     seed, series)
         horizons = ((rng, p) for rngs, walks in chunks for rng, p in zip(rngs, next(walks)))
     else:
         horizons = ((decoherence.realization_rng(seed, h), unitary.probs)
@@ -208,10 +211,10 @@ def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
     """(site updates, bytes of one batch) of :func:`qw_price_path` over
     ``horizons`` with a calibrated lattice scale: a unitary walk serves every
     horizon; a stochastic one is two sweeps of ``decoherence._sweep_cost``,
-    the calibration's realizations and then one realization per horizon."""
-    spec = model.decoherence
+    the calibration's realizations and then one realization per horizon,
+    which share one unitary series: one n^2 walk less than the two sweeps."""
+    spec, n = model.decoherence, model.steps_per_horizon
     sweeps = [_CALIBRATION_REALIZATIONS, horizons] if spec.p else [1]
-    updates, batch, _ = zip(*(decoherence._sweep_cost(spec.mode, [spec.p],
-                                                      model.steps_per_horizon, r)
+    updates, batch, _ = zip(*(decoherence._sweep_cost(spec.mode, [spec.p], n, r)
                               for r in sweeps))
-    return sum(updates), max(batch)
+    return sum(updates) - (len(sweeps) - 1) * n**2, max(batch)

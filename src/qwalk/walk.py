@@ -223,7 +223,10 @@ def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
     their copy, uniforms, angles and phases (168n bytes a walk).  Broken links
     add the (batch, n, 2n+2) count mask of ``count_bytes`` a link and 41 bytes
     a link of swap scratch (a flag copy, an int64 index and two complex values);
-    the mask's uniforms, drawn 8 batch rows at a time, fit in the buffers' room."""
+    the mask's uniforms, drawn 8 batch rows at a time, fit in the buffers' room,
+    as do the copies that sum a batch's rows onto a block's carried sums.  An
+    ensemble's ``batch`` is the walks of one call, not its summation block:
+    a broken-link batch is 64 walks, half of one (``decoherence._chunks``)."""
     links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
     return batch * (128 * (2 * n + 1) + links)
 

@@ -4,6 +4,7 @@ agree, and the pinned names keep test-only oracles out of the package."""
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -47,15 +48,27 @@ def test_cli_surface_that_perfbench_wraps():
 
 
 def test_a_cli_run_needs_no_package_beyond_numpy(tmp_path):
-    # numpy is the one runtime dependency: neither the import nor a run loads these
-    config = ROOT / "scripts" / "configs" / "price_path.json"
+    # numpy is the one runtime dependency: neither the import nor a run of any
+    # command loads these, nor numpy.polynomial, whose Gauss-Legendre rule
+    # classical.py stores as constants (it cost every run 0.8 MB and a LAPACK call)
+    runs = []
+    for name in ("distribution_coins", "heatmap_skewness", "entropy_random_phase",
+                 "decoherence_broken_links", "compare_returns", "price_path"):
+        doc = json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text("utf-8"))
+        if "realizations" in doc:  # the engines as the bundled run takes them, fewer times
+            doc["realizations"] = 20
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        runs.append((doc["experiment"].replace("_", "-"), str(config), str(tmp_path / name)))
     code = (
         "import sys, qwalk\n"
         "from qwalk import cli\n"
-        f"assert cli.run(['price-path', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis', 'pytest'} & set(sys.modules)))\n"
+        f"for command, config, out in {runs!r}:\n"
+        "    assert cli.run([command, '--config', config, '--out', out]) == 0, command\n"
+        "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis', 'pytest', 'numpy.polynomial'}\n"
+        "             & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"  # after the paths the run prints
+    assert done.stdout.splitlines()[-1] == "[]"  # after the paths the runs print

@@ -196,3 +196,32 @@ def test_list_evaluation_equals_single_points_bitwise(monkeypatch, params, x):
     assert [v.hex() for v in together] == [v.hex() for v in alone]
     assert together[0] != together[1]  # beta != 0: two distinct values
     assert 2 * len(phis) == calls_alone  # one phi per panel set of the pair
+
+
+def test_gauss_legendre_constants_equal_leggauss_bitwise():
+    # stored so that the package imports neither numpy.polynomial nor LAPACK
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert classical._GL_NODES.tobytes() == nodes.tobytes()
+    assert classical._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    StableParams(0.5, 0.5, c=ROOT_HALF),  # the bundled compare-returns column
+    StableParams(1.2, -0.3, c=0.8, mu=0.5),
+], ids=["bundled", "mu_shifted"])
+def test_block_wise_quadrature_equals_one_block_bitwise(monkeypatch, params):
+    xs = [-4.0, -1.7, 0.3, 1.7, 4.0, 300.0]
+    panels, integrate = [], classical._panel_integrate
+
+    def counting(xs, params, edges):
+        panels.append(len(edges) - 1)
+        return integrate(xs, params, edges)
+
+    monkeypatch.setattr(classical, "_panel_integrate", counting)
+    blocks = classical._stable_pdfs(xs, params)
+    assert max(panels) > 2 * classical._PANEL_BLOCK  # some panel sets take three blocks
+    monkeypatch.setattr(classical, "_PANEL_BLOCK", 2**62)
+    whole = classical._stable_pdfs(xs, params)
+    assert [v.hex() for v in blocks] == [v.hex() for v in whole]

@@ -464,7 +464,8 @@ GRID = HEATMAP_DOC["grid"]
     (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], bins=BIG)), "axis.bins"),
     (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=BIG)),
      "model.steps_per_horizon"),
-    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=3000, decoherence={
+    # a calibration batch of 64 walks with their link masks: 3,156 MiB
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=5000, decoherence={
         "mode": "broken_links", "p": 0.1})), "model.steps_per_horizon"),
     (dict(PRICE_DOC, horizons=BIG), "horizons"),
     # |a0|^2 overflows a float: not normalized rather than an OverflowError
@@ -685,6 +686,15 @@ def test_small_noisy_ensembles_are_charged_the_walks_they_hold(capsys):
     # charged as a whole chunk of 128 walks they came to 2,321 MiB
     parse_config(dict(DECOHERENCE_DOC, n=3000))
     assert capsys.readouterr().err == ""
+
+
+def test_broken_link_batches_are_charged_the_64_walks_they_hold():
+    # a 3,000-step broken-link price path calibrates on 200 realizations in
+    # batches of 64 walks, 1,161 MiB with their count masks; charged as 128
+    # walks a batch they came to 2,322 MiB, over the ceiling
+    model = dict(PRICE_DOC["model"], steps_per_horizon=3000,
+                 decoherence={"mode": "broken_links", "p": 0.1})
+    parse_config(dict(PRICE_DOC, model=model))
 
 
 PHASE_MODEL = dict(PRICE_DOC["model"], decoherence={"mode": "random_phase", "p_tilde": 0.3})

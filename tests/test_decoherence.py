@@ -224,6 +224,33 @@ def test_broken_ensemble_mean_equals_chunked_replay_bitwise(reals):
     assert np.array_equal(result.mean.probs, mean / mean.sum())
 
 
+@pytest.mark.parametrize("n", [1, 20, 100, 300])
+def test_carried_partial_sum_equals_the_block_sum_bitwise(n):
+    # a block walked as two batches of 64 is summed with the first batch's
+    # sums leading the second batch's rows: numpy's axis-0 sum adds the rows
+    # in order, so that is the one sum over the block's 128 rows
+    rng = np.random.default_rng(n)
+    probs = rng.random((128, 2 * n + 1)) * 10.0 ** rng.uniform(-300.0, 0.0, (128, 2 * n + 1))
+    for rows in (probs, probs**2):
+        carried = rows[:64].sum(axis=0)
+        joined = np.concatenate((carried[None], rows[64:])).sum(axis=0)
+        assert joined.tobytes() == rows.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("batch", [32, 128])
+def test_broken_link_batch_size_moves_no_byte(monkeypatch, batch):
+    # 300 realizations: blocks of 128, 128 and 44, walked in batches of 64,
+    # of 32 (four to a block, the last block 32 + 12) or of a whole block
+    ic, thetas, ps, n = InitialCoinState(0.6, 0.8j), [0.4, 1.1], [0.3, 0.05], 20
+    want = decoherence._sweep(ic, thetas, "broken_links", ps, n, 300, 31)
+    monkeypatch.setattr(decoherence, "_BROKEN_BATCH", batch)
+    got = decoherence._sweep(ic, thetas, "broken_links", ps, n, 300, 31)
+    for got_p, want_p in zip(got, want):
+        for g, w in zip(got_p, want_p):
+            assert g.mean.probs.tobytes() == w.mean.probs.tobytes()
+            assert g.sem.tobytes() == w.sem.tobytes()
+
+
 def test_phase_ensemble_matches_public_step_surface():
     n, reals, seed = 10, 5, 17
     spec = DecoherenceSpec.random_phase(0.6)
