@@ -40,13 +40,15 @@ is noiseless exactly when its probability is 0, in any mode ("none" is the
 name of p = 0), or when n = 0: it is one unitary walk per theta, draws no
 stream, and each mean is that walk's own probabilities.
 
-A sweep walks that unitary series once per theta in any case.  A
-realization is quiet at p when its noise never acts there: none of its
-accept draws is below p_tilde, or none of its link uniforms below p.  Its
-walk is then the unitary walk bit for bit, so the engine walks only the
-other realizations and hands the quiet ones the unitary series.  Their
-streams are still made and drawn, and every row keeps its place, so the
-stream contract, the means and the standard errors are unchanged.
+A random-phase realization is quiet at p_tilde when none of its accept
+draws is below it, so every one of its steps has zeta = 0.  A batch walks
+the realizations that fire and, when some are quiet, one zero-phase walk
+whose row every quiet one takes: its coins are real, so it is the unitary
+walk bit for bit whatever the other walks of its batch.  Every broken-link
+walk is walked; one keeps all its links with probability (1-p)^{n(2n+2)},
+1e-44 at n = 100 and p = 0.005.  Every stream is still made and drawn, and
+every row keeps its place, so the stream contract, the means and the
+standard errors are unchanged.
 
 The per-step references of both mechanisms, which the batched engines here
 equal bit for bit, live with the tests in ``tests/helpers.py``.
@@ -165,13 +167,13 @@ def run_ensemble(
     return _sweep(ic, [theta], spec.mode, [spec.p], n, realizations, seed)[0][0]
 
 
-def _sweep(ic, thetas, mode, ps, n, realizations, seed,
-           unitary=None) -> list[list[EnsembleResult]]:
+def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleResult]]:
     """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
-    of ``thetas``, one list per p, walked as :func:`_walks` lays out: the
-    unitary series once per theta (``unitary``, when the caller holds it),
-    then every batch's streams are made and drawn once and walked at each
-    noisy p and each theta; the noiseless entries share the unitary series.
+    of ``thetas``, one list per p, walked as :func:`_walks` lays out: every
+    batch's streams are made and drawn once and walked at each noisy p and
+    each theta, and the noiseless entries share the unitary series, walked
+    once per theta when a p is 0 or n is.  Every theta is checked before a
+    stream is drawn.
 
     The sums run over summation blocks of ``_CHUNK`` realizations, each
     added to the running total in increasing r.  A block is the axis-0 sum
@@ -181,17 +183,15 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed,
     (``_CHUNK``, 2n+1) array of its rows would give, bit for bit."""
     _check_integer("realizations", realizations, 1)
     _check_integer("step count", n, 0)
+    _reduced(0.0, thetas, 0.0)  # every theta, before a stream is drawn
 
     size = 2 * n + 1
     noisy, noiseless = _walks(ps, n)
-    if unitary is None:
-        unitary = _unitary(ic, thetas, n)
     # [sum, sum of squares] per (p, theta) over the closed blocks, and the
     # open block's, carried from one of its batches to the next
     sums, block = np.zeros((2, 2, len(noisy) * len(thetas), size))
     done = 0
-    for rngs, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed,
-                               unitary) if noisy else ():
+    for rngs, walks in _chunks(ic, thetas, mode, noisy, n, realizations, seed) if noisy else ():
         opens = done % _CHUNK == 0
         if opens:
             sums += block
@@ -214,15 +214,14 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed,
     swept = {p: results[i * len(thetas) : (i + 1) * len(thetas)] for i, p in enumerate(noisy)}
     if noiseless:
         unitary = [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
-                   for p in unitary]
+                   for p in _unitary(ic, thetas, n)]
     return [swept[p] if p in swept else unitary for p in ps]
 
 
 def _walks(ps, n: int) -> tuple[list, bool]:
     """(the distinct nonzero p of ``ps``, largest first; whether a p is 0 or
-    ``n`` is): the noisy and the noiseless entries of a sweep, per theta.
-    Both take the unitary walk, which serves the noiseless entries and every
-    quiet realization of the noisy ones (see :func:`_chunk_walks`)."""
+    ``n`` is): the noisy entries of a sweep, walked by :func:`_chunk_walks`,
+    and whether it has noiseless ones, which take the unitary walk."""
     noisy = sorted({p for p in ps if p}, reverse=True) if n else []
     return noisy, not n or 0.0 in ps
 
@@ -238,92 +237,87 @@ def _unitary(ic, thetas, n: int) -> np.ndarray:
     return series
 
 
+def _batch_size(mode) -> int:
+    """Walks per propagate call of an ensemble in ``mode``: a summation block
+    of ``_CHUNK`` for random phase, and half of one, ``_BROKEN_BATCH``, for
+    broken links, whose count mask grows with n^2 a walk."""
+    return _BROKEN_BATCH if mode == "broken_links" else _CHUNK
+
+
 def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
     """(site updates, bytes of one batch, bytes of the finished series) of
     :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: the
-    unitary series costs its ``_grid_cost``, each noisy p walks n^2 per
-    realization and theta, quiet ones included, in the batches :func:`_chunks`
-    builds, min(realizations, ``_BROKEN_BATCH``) walks with :func:`_chunk_walks`'
-    count mask and its uniforms for broken links and min(realizations,
-    ``_CHUNK``) for random phase, and the unitary series and eight (2n+1)
-    float rows per noisy p stay per theta: the running sums and the open
-    block's carried ones, each a sum and a sum of squares, and the statistics."""
-    noisy, _ = _walks(ps, n)
-    updates, batch = _grid_cost(thetas, n)
-    broken = mode == "broken_links"
-    counts = np.min_scalar_type(len(noisy)).itemsize if broken else 0
-    walks = min(realizations, _BROKEN_BATCH if broken else _CHUNK)
-    chunk = _walk_bytes(n, walks, counts) if noisy else 0
+    unitary series, walked only when a p is 0 or n is, costs its
+    ``_grid_cost``; each noisy p is charged n^2 per realization and theta,
+    quiet ones included, so the charge does not depend on the draws, in
+    batches of min(realizations, ``_batch_size(mode)``) walks, with
+    :func:`_chunk_walks`' count mask and its uniforms for broken links; and
+    the unitary series and eight (2n+1) float rows per noisy p stay per
+    theta: the running sums and the open block's carried ones, each a sum and
+    a sum of squares, and the statistics."""
+    noisy, noiseless = _walks(ps, n)
+    updates, batch = _grid_cost(thetas, n) if noiseless else (0, 0)
+    counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
+    chunk = _walk_bytes(n, min(realizations, _batch_size(mode)), counts) if noisy else 0
     return (updates + thetas * len(noisy) * realizations * n**2, max(batch, chunk),
-            8 * thetas * (2 * n + 1) * (1 + 8 * max(1, len(noisy))))
+            8 * thetas * (2 * n + 1) * (noiseless + 8 * max(1, len(noisy))))
 
 
-def _chunks(ic, thetas, mode, ps, n, realizations, seed, unitary):
-    """Per batch of walks, in increasing r: its streams and :func:`_chunk_walks`
-    of them, which draws their noise when first asked.  A random-phase batch
-    is a summation block of ``_CHUNK`` realizations; a broken-link batch is
-    half of one, ``_BROKEN_BATCH`` walks, because its count mask grows with
-    n^2 a walk.  The batch sets only what is held at once: the rows come in
-    the same order, and :func:`_sweep` sums each block as one."""
-    size = _BROKEN_BATCH if mode == "broken_links" else _CHUNK
+def _chunks(ic, thetas, mode, ps, n, realizations, seed):
+    """Per batch of ``_batch_size(mode)`` walks, in increasing r: its streams and
+    :func:`_chunk_walks` of them, which draws their noise when first asked.
+    The batch sets only what is held at once: the rows come in the same
+    order, and :func:`_sweep` sums each summation block as one."""
+    size = _batch_size(mode)
     for start in range(0, realizations, size):
         rngs = [realization_rng(seed, r) for r in range(start, min(start + size, realizations))]
-        yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary)
+        yield rngs, _chunk_walks(ic, thetas, mode, ps, n, rngs)
 
 
-def _chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
+def _chunk_walks(ic, thetas, mode, ps, n, rngs):
     """Position probabilities, a C-contiguous (len(rngs), 2n+1) array at each
     p of the non-increasing ``ps`` and, within it, each of ``thetas`` in turn,
     of one walk per generator.  Each generator draws its uniforms once, before
     the first walk, and every p derives its noise from them.
 
-    A walk is quiet at p when none of its uniforms that p compares is below p,
-    its accept draws or its link uniforms: no phase is kicked and no link
-    breaks, so it is the unitary walk bit for bit, and its row is that theta's
-    row of the unitary series ``unitary``.  Only the other walks are walked;
-    a walk quiet at p is quiet at every smaller p.  The noise lives here
+    A random-phase walk whose accept draws are none below p is quiet there:
+    the batch walks the fired walks and, if any is quiet, one last walk that
+    never fires, whose zero-phase row every quiet walk takes (see the module
+    docstring).  Every broken-link walk is walked.  The noise lives here
     alone, so it goes when this finishes or is dropped, before the next
     batch's is drawn.  ``rngs`` is one batch of :func:`_chunks`: every walk
     is one row, whatever the batch's size, so the rows do not depend on it."""
-    walks = len(rngs)
+    walks, source = len(rngs), None
     if mode == "broken_links":
         # per link, how many of ps exceed its uniform: each p, largest first,
         # breaks the links whose count is nonzero, then the counts step down; a
         # walk draws its uniforms 8 batch rows at a time, in the buffers' room
         noise = np.zeros((walks, n, 2 * n + 2), dtype=np.min_scalar_type(len(ps)))
-        low = np.ones(walks)
-        for i, (count, rng) in enumerate(zip(noise, rngs)):
+        for count, rng in zip(noise, rngs):
             for rows in np.split(count, range(8 * walks, n, 8 * walks)):
                 u = rng.random(rows.shape)
-                low[i] = u.min(initial=low[i])
                 for p in ps:
                     rows += u < p
             del u  # freed before the next realization draws its own
-    elif mode == "random_phase":
-        noise = np.array([rng.random((n, 2)) for rng in rngs])  # per step (accept, phase)
-        low = noise[:, :, 0].min(axis=1, initial=1.0)
-    fired = np.arange(walks)  # noise row r holds walk fired[r]
+    elif mode == "random_phase":  # per step (accept, phase); the last walk never fires
+        noise = np.array([rng.random((n, 2)) for rng in rngs] + [np.ones((n, 2))])
+        low = noise[:walks, :, 0].min(axis=1, initial=1.0)
     for i, p in enumerate(ps):
-        # the walks fired at p keep their order and move up to the first rows,
-        # each read before it is overwritten: the noise is never copied whole
-        quiet = low >= p
-        keep = ~quiet[fired]
-        for r, row in enumerate(np.flatnonzero(keep)):
-            if r < row:
-                noise[r] = noise[row]
-        fired = fired[keep]
-        live = noise[: len(fired)]
         if mode == "random_phase":  # exp(i zeta) once, of zeta reduced as the coin's
-            zeta = np.where(live[:, :, 0].T < p, TWO_PI * live[:, :, 1].T, 0.0)
+            # the fired walks, then the last one if any is quiet; source[r] is
+            # the row of the walked array that walk r takes
+            walked, source = np.unique(np.where(low < p, np.arange(walks), walks),
+                                       return_inverse=True)
+            if walked[-1] < walks:  # every walk fired: each row is its own
+                source = None
+            accept, draw = noise[walked].T
+            zeta = np.where(accept < p, TWO_PI * draw, 0.0)
             phase, broken = np.exp(1j * _reduced(0.0, 0.0, zeta)[2]), None
         else:  # one real coin for every step; every nonzero count steps down to p
-            phase, broken = np.ones(len(fired)), live
+            phase, broken = np.ones(walks), noise
             if i:
                 np.maximum(broken, 1, out=broken)
                 broken -= 1
-        for series, theta in zip(unitary, thetas):  # a theta's coins go before the next's come
+        for theta in thetas:  # a theta's coins go before the next's come
             probs = _propagate_probs(ic.a0, ic.b0, _coins(0.0, theta, phase=phase), n, broken)
-            if len(fired) < walks:  # the quiet rows take the unitary walk's
-                probs, walked = np.empty((walks, 2 * n + 1)), probs
-                probs[quiet], probs[fired] = series, walked
-            yield probs
+            yield probs if source is None else probs[source]

@@ -127,17 +127,15 @@ class QwPriceModel:
         return self.steps_per_horizon * self.dt_per_step
 
 
-def _model_distribution(
-    model: QwPriceModel, seed: int, realizations: int, unitary=None
-) -> PositionDistribution:
+def _model_distribution(model: QwPriceModel, seed: int,
+                        realizations: int) -> PositionDistribution:
     """The walk's distribution: the one unitary walk of the model's coin when
-    it is noiseless, else the mean of the ensemble engine's sweep, which takes
-    its unitary series from ``unitary`` when the caller holds it."""
+    it is noiseless, else the mean of the ensemble engine's sweep."""
     spec, n = model.decoherence, model.steps_per_horizon
     if not spec.p:
         return position_distribution(evolve(model.ic, make_su2_coin(model.angles), n))
     return decoherence._sweep(model.ic, [model.angles.theta], spec.mode, [spec.p], n,
-                              realizations, seed, unitary)[0][0].mean
+                              realizations, seed)[0][0].mean
 
 
 def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
@@ -171,29 +169,27 @@ def qw_price_path(
     a walk and compounds S <- S * exp(r_site).  Horizon h draws from the
     stream ``SeedSequence(seed, spawn_key=(h,))``, so paths are deterministic
     and horizons are order-independent.  At p > 0 the walk is realization h
-    of the ensemble engine, whose noise that stream draws first; at p = 0, in
-    any mode, it is the one unitary walk, walked once, which also calibrates.
-    ``total_steps`` and ``seed`` must be integers, not bools.
+    of the ensemble engine, whose noise that stream draws first, and the
+    calibration is another sweep of it; at p = 0, in any mode, it is the one
+    unitary walk, walked once, which also calibrates.  ``total_steps`` and
+    ``seed`` must be integers, not bools.
     """
     _check_integer("total_steps", total_steps, 1)
     _check_integer("seed", seed, 0)
     _check_lattice_scale(lattice_scale)
-    spec, n, thetas = model.decoherence, model.steps_per_horizon, [model.angles.theta]
-    # at p > 0 the unitary series is walked once, for the quiet realizations of
-    # both the calibration sweep and the path
-    series = decoherence._unitary(model.ic, thetas, n) if spec.p else None
+    spec, n = model.decoherence, model.steps_per_horizon
     unitary = None if spec.p else _model_distribution(model, seed, 1)
     if lattice_scale is None:
         calibration = unitary if unitary is not None else _model_distribution(
-            model, seed + _CALIBRATION_KEY, _CALIBRATION_REALIZATIONS, series)
+            model, seed + _CALIBRATION_KEY, _CALIBRATION_REALIZATIONS)
         lattice_scale = _lattice_scale(model, calibration)
 
     f_val = model.scaler.value(model.horizon)
     sites = np.arange(-n, n + 1)
     prices = [model.s0]
     if unitary is None:
-        chunks = decoherence._chunks(model.ic, thetas, spec.mode, [spec.p], n, total_steps,
-                                     seed, series)
+        chunks = decoherence._chunks(model.ic, [model.angles.theta], spec.mode, [spec.p], n,
+                                     total_steps, seed)
         horizons = ((rng, p) for rngs, walks in chunks for rng, p in zip(rngs, next(walks)))
     else:
         horizons = ((decoherence.realization_rng(seed, h), unitary.probs)
@@ -211,10 +207,9 @@ def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
     """(site updates, bytes of one batch) of :func:`qw_price_path` over
     ``horizons`` with a calibrated lattice scale: a unitary walk serves every
     horizon; a stochastic one is two sweeps of ``decoherence._sweep_cost``,
-    the calibration's realizations and then one realization per horizon,
-    which share one unitary series: one n^2 walk less than the two sweeps."""
+    the calibration's realizations and then one realization per horizon."""
     spec, n = model.decoherence, model.steps_per_horizon
     sweeps = [_CALIBRATION_REALIZATIONS, horizons] if spec.p else [1]
     updates, batch, _ = zip(*(decoherence._sweep_cost(spec.mode, [spec.p], n, r)
                               for r in sweeps))
-    return sum(updates) - (len(sweeps) - 1) * n**2, max(batch)
+    return sum(updates), max(batch)

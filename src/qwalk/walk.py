@@ -226,7 +226,7 @@ def _walk_bytes(n: int, batch: int, count_bytes: int = 0) -> int:
     the mask's uniforms, drawn 8 batch rows at a time, fit in the buffers' room,
     as do the copies that sum a batch's rows onto a block's carried sums.  An
     ensemble's ``batch`` is the walks of one call, not its summation block:
-    a broken-link batch is 64 walks, half of one (``decoherence._chunks``)."""
+    a broken-link batch is 64 walks, half of one (``decoherence._batch_size``)."""
     links = (count_bytes * n + 41) * (2 * n + 2) if count_bytes else 0
     return batch * (128 * (2 * n + 1) + links)
 

@@ -568,9 +568,7 @@ def test_walk_bytes_bounds_one_propagate_call(case, p):
         # one whole chunk of the engine: its (accept, phase) uniforms, its
         # zetas, its (n, walks, 2, 2) coins and the propagate call
         rngs = [realization_rng(4, r) for r in range(walks)]
-        unitary = decoherence._unitary(SYMMETRIC_IC, [0.7], n)
-        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], "random_phase", [0.5], n, rngs,
-                                         unitary)
+        chunk = decoherence._chunk_walks(SYMMETRIC_IC, [0.7], "random_phase", [0.5], n, rngs)
         held, run = 0, lambda: list(chunk)
     else:
         if case == "broken_links":  # the engine's one real coin: no coin tiles
@@ -730,18 +728,16 @@ def test_announced_work_equals_walked_work(monkeypatch, doc):
         streams[r, seed] = rng = realization_rng(seed, r)
         return rng
 
-    def chunk_walks(ic, thetas, mode, ps, n, rngs, unitary):
-        # the rows filled from the unitary series, counted from fresh copies of
-        # the streams: a realization is quiet at p when none of the uniforms
-        # its noise compares is below p
+    def chunk_walks(ic, thetas, mode, ps, n, rngs):
+        # the random-phase rows that are not walked, counted from fresh copies
+        # of the streams: a realization is quiet at p when none of its accept
+        # draws is below p, and the quiet rows of a batch share one walk
         seeds = {id(rng): key for key, rng in streams.items()}
-        for rng in rngs:
-            r, seed = seeds[id(rng)]
-            shape = (n, 2) if mode == "random_phase" else (n, 2 * n + 2)
-            u = realization_rng(seed, r).random(shape)
-            low = (u[:, 0] if mode == "random_phase" else u).min(initial=1.0)
-            quiet.append(len(thetas) * n**2 * sum(low >= p for p in ps))
-        return engine(ic, thetas, mode, ps, n, rngs, unitary)
+        if mode == "random_phase":
+            low = np.array([realization_rng(seed, r).random((n, 2))[:, 0].min(initial=1.0)
+                            for r, seed in map(seeds.get, map(id, rngs))])
+            quiet.append(len(thetas) * n**2 * sum(max(np.sum(low >= p) - 1, 0) for p in ps))
+        return engine(ic, thetas, mode, ps, n, rngs)
 
     engine = decoherence._chunk_walks
     monkeypatch.setattr(cli, "_check_size", check_size)

@@ -195,13 +195,12 @@ def test_ensemble_matches_public_step_surface_in_any_order():
     (0, 0.35, 1), (1, 1.0, 129), (1, 0.35, 128), (7, 0.0, 127), (7, 0.35, 129),
     (7, 1.0, 128), (100, 0.35, 129), (100, 1.0, 1), (100, 0.0, 127),
     (100, 0.35, 3),  # uniforms drawn 24 rows at a time: the replay's one stream
-    (7, 0.002, 128),  # 105 of the 128 walks draw no uniform below p: quiet
+    (7, 0.002, 128),  # 105 of the 128 walks keep every link, and are walked all the same
 ])
 def test_broken_engine_equals_public_step_replay_bitwise(n, p, count):
     ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.broken_links(p)
     rngs = [realization_rng(11, r) for r in range(5, 5 + count)]
-    unitary = decoherence._unitary(ic, [1.1], n)
-    (got,) = decoherence._chunk_walks(ic, [1.1], spec.mode, [p], n, rngs, unitary)
+    (got,) = decoherence._chunk_walks(ic, [1.1], spec.mode, [p], n, rngs)
     assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
     for i, probs in enumerate(got):
         want = replay_walk(ic, 1.1, spec, n, realization_rng(11, 5 + i)).probs
@@ -310,11 +309,33 @@ def test_broken_links_spread_slower_than_unitary():
     DecoherenceSpec.none(), DecoherenceSpec.broken_links(0.3), DecoherenceSpec.random_phase(0.3),
 ], ids=["none", "broken_links", "random_phase"])
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-def test_every_engine_rejects_a_non_finite_theta(spec, theta):
+def test_every_engine_rejects_a_non_finite_theta(spec, theta, monkeypatch):
+    # before any stream is made
+    streams = []
+    monkeypatch.setattr(decoherence, "realization_rng", lambda *args: streams.append(args))
     with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
         run_ensemble(SYMMETRIC_IC, theta, spec, 6, 3, seed=1)
     with pytest.raises(ValueError, match="coin angle 'theta' must be finite"):
         decoherence._sweep(SYMMETRIC_IC, [0.4, theta], spec.mode, [0.2, spec.p], 6, 3, seed=1)
+    assert not streams
+
+
+@pytest.mark.parametrize("mode", ["broken_links", "random_phase"])
+def test_sweep_walks_the_unitary_series_only_for_a_zero_p(mode, monkeypatch):
+    # p = 0.01 leaves quiet random-phase walks, which take a zero-phase walk
+    # of their own batch; only p = 0 walks the series, once per theta
+    calls, unitary = [], decoherence._unitary
+    monkeypatch.setattr(decoherence, "_unitary",
+                        lambda *args: calls.append(args[1]) or unitary(*args))
+    thetas, ps = [0.4, 1.1, 1.3], [0.3, 0.01]
+    noisy = decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps, 6, 130, seed=2)
+    assert not calls
+    mixed = decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps + [0.0], 6, 130, seed=2)
+    assert calls == [thetas]
+    for got, want in zip(mixed, noisy):
+        assert [g.mean.probs.tobytes() for g in got] == [w.mean.probs.tobytes() for w in want]
+    assert [r.mean.probs.tobytes() for r in mixed[2]] == [
+        p.tobytes() for p in unitary(SYMMETRIC_IC, thetas, 6)]
 
 
 class FixedPhaseRng:
@@ -341,8 +362,7 @@ def test_random_phase_engine_walks_the_su2_coin_bytes(ic, monkeypatch):
     for u0 in (0.61, 1 - 2**-53, 1.0):
         coin = make_su2_coin(CoinAngles(0.0, theta, TWO_PI * u0))
         rngs = [FixedPhaseRng(u0)] * walks
-        (probs,) = decoherence._chunk_walks(ic, [theta], "random_phase", [1.0], n, rngs,
-                                            decoherence._unitary(ic, [theta], n))
+        (probs,) = decoherence._chunk_walks(ic, [theta], "random_phase", [1.0], n, rngs)
         per_step = built.pop()
         assert per_step.shape == (n, walks, 2, 2) and not built
         assert all(c.tobytes() == coin.matrix.tobytes() for c in per_step.reshape(-1, 2, 2))
@@ -382,15 +402,17 @@ def _phase_chunk_reference(ic, theta, p_tilde, n, seed, start, count):
     (0.3, 0.01, 1, 3), (THETA, 0.1, 50, 128), (1.5, 1.0, 20, 64), (1.1, 0.4, 33, 5),
     (THETA, 0.01, 50, 128),  # 70 of the 128 walks are quiet: no accept draw below p
     (1.1, 0.3, 3, 1),  # the one walk is quiet: no walk fires
+    (THETA, [0.1, 0.01], 50, 128),  # one draw, two p: every walk fires at 0.1, not at 0.01
 ])
 def test_phase_engine_equals_reference_loop_bitwise(theta, p_tilde, n, count):
-    ic, spec = InitialCoinState(0.6, 0.8j), DecoherenceSpec.random_phase(p_tilde)
+    ic, ps = InitialCoinState(0.6, 0.8j), np.atleast_1d(p_tilde).tolist()
     rngs = [realization_rng(9, r) for r in range(3, 3 + count)]
-    unitary = decoherence._unitary(ic, [theta], n)
-    (got,) = decoherence._chunk_walks(ic, [theta], spec.mode, [p_tilde], n, rngs, unitary)
-    assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
-    want = _phase_chunk_reference(ic, theta, p_tilde, n, 9, 3, count)
-    assert np.array_equal(got, want)
+    walked = list(decoherence._chunk_walks(ic, [theta], "random_phase", ps, n, rngs))
+    assert len(walked) == len(ps)
+    for got, p in zip(walked, ps):
+        assert got.shape == (count, 2 * n + 1) and got.flags.c_contiguous
+        want = _phase_chunk_reference(ic, theta, p, n, 9, 3, count)
+        assert np.array_equal(got, want)
 
 
 def test_each_phase_sweep_creates_its_streams_once_and_keeps_none(monkeypatch):

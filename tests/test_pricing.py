@@ -286,16 +286,15 @@ def test_unitary_price_path_walks_once(monkeypatch):
     assert len(prices) == 6
 
 
-def test_stochastic_price_path_walks_its_unitary_series_once(monkeypatch):
-    # the calibration sweep and the path take their quiet realizations' rows
-    # from one unitary series
+def test_stochastic_price_path_walks_no_unitary_series(monkeypatch):
+    # neither the calibration sweep nor the path walks the unitary series
     calls, unitary = [], decoherence._unitary
     monkeypatch.setattr(decoherence, "_unitary",
                         lambda *args: calls.append(args) or unitary(*args))
     model = model_with(angles=CoinAngles(0.0, 1.1, 0.0), steps_per_horizon=9,
                        decoherence=DecoherenceSpec.broken_links(0.01))
     assert len(qw_price_path(model, total_steps=5, seed=3)) == 6
-    assert len(calls) == 1
+    assert not calls
 
 
 def _price_path_reference(model, total_steps, seed, lattice_scale):
