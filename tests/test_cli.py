@@ -734,8 +734,9 @@ def test_announced_work_equals_walked_work(monkeypatch, doc):
         # draws is below p, and the quiet rows of a batch share one walk
         seeds = {id(rng): key for key, rng in streams.items()}
         if mode == "random_phase":
+            keys = [seeds[id(rng)] for rng in rngs]
             low = np.array([realization_rng(seed, r).random((n, 2))[:, 0].min(initial=1.0)
-                            for r, seed in map(seeds.get, map(id, rngs))])
+                            for r, seed in keys])
             quiet.append(len(thetas) * n**2 * sum(max(np.sum(low >= p) - 1, 0) for p in ps))
         return engine(ic, thetas, mode, ps, n, rngs)
 
