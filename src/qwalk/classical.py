@@ -37,6 +37,7 @@ conventions is attempted.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,10 @@ _MAX_REFINEMENTS = 14
 _MAX_DIRECT_CYCLES = 4.0e4
 _ACCEL_MIN_TERMS = 32
 _ACCEL_MAX_TERMS = 4000
+#: the partial sums the accelerated path keeps: the trailing ones it averages
+_AVERAGED_TERMS = 40
+#: bound on the truncation self-check's integral over [T, 2T]: ten times _TOL
+_TRUNCATION_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -187,6 +192,15 @@ def _stable_pdfs(xs, params: StableParams) -> list[float]:
     return values
 
 
+def _stable_cost(count: int) -> int:
+    """The bytes :func:`_stable_pdfs` holds over ``count`` abscissae: a block's
+    Gauss nodes at six complex values each (83 B traced at alpha = 1), and 4 KB
+    an abscissa for its generators, requests and kept sums (2.8 KB traced);
+    not its per-panel rows, 24 B a panel and 8 an abscissa (4,900 panels on
+    compare-returns' bundled axis)."""
+    return _PANEL_BLOCK * len(_GL_NODES) * 96 + count * 4096
+
+
 def _cutoff(params: StableParams) -> float:
     """Truncation point T with |phi(T)| = _TAIL_EPS, which must be finite."""
     try:
@@ -226,6 +240,7 @@ def _panel_integrate(xs, params: StableParams, edges: np.ndarray) -> list[float]
             prod = np.multiply(phi, wave, out=prod)
             sums[block] = prod.real.reshape(t.shape) @ _GL_WEIGHTS
             prev = x
+        del t, nodes, phi, wave, prod  # this block's go before the next block's come
     return [float(np.sum(half * sums)) for sums in panels]
 
 
@@ -267,7 +282,7 @@ def _invert_direct(x: float, t_cut: float, cycles: float):
         cur = yield from total(n)
         if abs(cur - prev) < _TOL:
             tail = yield t_cut, 2.0 * t_cut, 65
-            if abs(tail) > max(10.0 * _TOL, 1e-8):
+            if abs(tail) > _TRUNCATION_TOL:
                 raise QuadratureError(
                     f"truncation self-check failed at x={x}: doubling the "
                     f"cutoff moves the integral by {abs(tail):.3e}"
@@ -277,22 +292,13 @@ def _invert_direct(x: float, t_cut: float, cycles: float):
     raise QuadratureError(f"panel doubling did not converge at x={x}")
 
 
-def _averaged_tail(partial_sums: list[float], window: int = 40) -> float:
-    """Limit estimate of a partial-sum sequence by repeated averaging of the
-    trailing window (Euler transform of the alternating tail)."""
-    arr = np.array(partial_sums[-min(len(partial_sums), window) :], dtype=float)
-    while len(arr) > 1:
-        arr = 0.5 * (arr[1:] + arr[:-1])
-    return float(arr[0])
-
-
 def _invert_accelerated(x: float, params: StableParams, t_cut: float):
     """Far-tail inversion: integrate half-periods of the oscillation and
     accelerate the alternating series.  Used when direct panel quadrature
     would need more than ``_MAX_DIRECT_CYCLES`` oscillation cycles."""
     freq = abs(x - params.mu)
     h = math.pi / freq
-    partial = [(yield 0.0, h, None)]
+    partial = deque([(yield 0.0, h, None)], maxlen=_AVERAGED_TERMS)
     prev_est = None
     stable_hits = 0
     k = 1
@@ -303,7 +309,10 @@ def _invert_accelerated(x: float, params: StableParams, t_cut: float):
             # envelope exhausted: the running sum is already the integral
             return partial[-1] / math.pi
         if k >= _ACCEL_MIN_TERMS and k % 4 == 0:
-            est = _averaged_tail(partial)
+            est = np.array(partial)  # averaged pairwise down to one: an Euler transform
+            while len(est) > 1:
+                est = 0.5 * (est[1:] + est[:-1])
+            est = float(est[0])
             if prev_est is not None and abs(est - prev_est) <= _TOL * max(1.0, abs(est)):
                 stable_hits += 1
                 if stable_hits >= 3:

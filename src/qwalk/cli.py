@@ -35,6 +35,7 @@ from . import __version__, decoherence, pricing
 from .classical import (
     QuadratureError,
     StableParams,
+    _stable_cost,
     _stable_pdfs,
     classical_rw_distribution,
 )
@@ -276,10 +277,10 @@ def _rows_bytes(factors: dict) -> tuple[str, int]:
 
 
 def _check_size(site_updates: int, *costs: tuple[str, int]):
-    """Reject a run whose largest (path, bytes) cost passes the ceiling,
-    naming the field that drives it; announce on stderr a run of more than
-    ``WARN_SITE_UPDATES`` site updates."""
-    path, nbytes = max(costs, key=lambda cost: cost[1])
+    """Reject a run whose (path, bytes) costs, which it holds at once, sum
+    past the ceiling, naming the field of the largest; announce on stderr a
+    run of more than ``WARN_SITE_UPDATES`` site updates."""
+    path, nbytes = max(costs, key=lambda c: c[1])[0], sum(c[1] for c in costs)
     if nbytes > MAX_WORK_BYTES:
         raise ConfigError(path, f"the run would need about {nbytes >> 20} MiB of working "
                                 f"memory, over the {MAX_WORK_BYTES >> 20} MiB ceiling")
@@ -420,7 +421,8 @@ def _parse_compare_returns(doc, realizations):
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
     updates, batch, _ = decoherence._sweep_cost("broken_links", [p], n, realizations)
-    _check_size(updates, ("n", batch), _rows_bytes({"axis.bins": axis[2]}))
+    _check_size(updates, ("n", batch), _rows_bytes({"axis.bins": axis[2]}),
+                ("axis.bins", _stable_cost(2 * axis[2] + 1)))
     return n, p, axis, theta, ic, stable, gaussian
 
 

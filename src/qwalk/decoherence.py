@@ -171,9 +171,9 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleRes
     """:func:`run_ensemble` at each probability of ``ps`` in ``mode`` and each
     of ``thetas``, one list per p, walked as :func:`_walks` lays out: every
     batch's streams are made and drawn once and walked at each noisy p and
-    each theta, and the noiseless entries share the unitary series, walked
-    once per theta when a p is 0 or n is.  Every theta is checked before a
-    stream is drawn.
+    each theta, and the noiseless entries share one result per theta, built
+    from the rows that :func:`_grid_probs` yields for the pairs (0, theta)
+    when a p is 0 or n is.  Every theta is checked before a stream is drawn.
 
     The sums run over summation blocks of ``_CHUNK`` realizations, each
     added to the running total in increasing r.  A block is the axis-0 sum
@@ -213,8 +213,9 @@ def _sweep(ic, thetas, mode, ps, n, realizations, seed) -> list[list[EnsembleRes
                for m, s in zip(mean, sem)]
     swept = {p: results[i * len(thetas) : (i + 1) * len(thetas)] for i, p in enumerate(noisy)}
     if noiseless:
-        unitary = [EnsembleResult(PositionDistribution(n=n, probs=p), np.zeros(size))
-                   for p in _unitary(ic, thetas, n)]
+        unitary = [EnsembleResult(PositionDistribution(n=n, probs=row), np.zeros(size))
+                   for probs in _grid_probs(ic, [(0.0, theta) for theta in thetas], n)
+                   for row in probs]
     return [swept[p] if p in swept else unitary for p in ps]
 
 
@@ -224,17 +225,6 @@ def _walks(ps, n: int) -> tuple[list, bool]:
     and whether it has noiseless ones, which take the unitary walk."""
     noisy = sorted({p for p in ps if p}, reverse=True) if n else []
     return noisy, not n or 0.0 in ps
-
-
-def _unitary(ic, thetas, n: int) -> np.ndarray:
-    """The unitary series: the probabilities of the noiseless walk at each of
-    ``thetas``, a (len(thetas), 2n+1) array, walked in :func:`_grid_probs`'
-    batches of the pairs (0, theta)."""
-    series, start = np.empty((len(thetas), 2 * n + 1)), 0
-    for probs in _grid_probs(ic, ((0.0, theta) for theta in thetas), n):
-        series[start : start + len(probs)] = probs
-        start += len(probs)
-    return series
 
 
 def _batch_size(mode) -> int:
@@ -247,20 +237,19 @@ def _batch_size(mode) -> int:
 def _sweep_cost(mode, ps, n, realizations, thetas=1) -> tuple[int, int, int]:
     """(site updates, bytes of one batch, bytes of the finished series) of
     :func:`_sweep` over ``thetas`` angles, as :func:`_walks` lays it out: the
-    unitary series, walked only when a p is 0 or n is, costs its
-    ``_grid_cost``; each noisy p is charged n^2 per realization and theta,
-    quiet ones included, so the charge does not depend on the draws, in
-    batches of min(realizations, ``_batch_size(mode)``) walks, with
-    :func:`_chunk_walks`' count mask and its uniforms for broken links; and
-    the unitary series and eight (2n+1) float rows per noisy p stay per
-    theta: the running sums and the open block's carried ones, each a sum and
-    a sum of squares, and the statistics."""
+    noiseless walks, one per theta when a p is 0 or n is, cost their
+    ``_grid_cost``; each noisy p costs n^2 per realization and theta, quiet
+    ones included, so the charge does not depend on the draws, in batches of
+    min(realizations, ``_batch_size(mode)``) walks, with :func:`_chunk_walks`'
+    count mask and its uniforms for broken links.  Held beside the batch, per
+    theta: the noiseless mean and zero sem, and eight (2n+1) float rows per
+    noisy p (the running and carried sums and squares, and the statistics)."""
     noisy, noiseless = _walks(ps, n)
     updates, batch = _grid_cost(thetas, n) if noiseless else (0, 0)
     counts = np.min_scalar_type(len(noisy)).itemsize if mode == "broken_links" else 0
     chunk = _walk_bytes(n, min(realizations, _batch_size(mode)), counts) if noisy else 0
     return (updates + thetas * len(noisy) * realizations * n**2, max(batch, chunk),
-            8 * thetas * (2 * n + 1) * (noiseless + 8 * max(1, len(noisy))))
+            8 * thetas * (2 * n + 1) * (2 * noiseless + 8 * max(1, len(noisy))))
 
 
 def _chunks(ic, thetas, mode, ps, n, realizations, seed):

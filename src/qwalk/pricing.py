@@ -130,12 +130,12 @@ class QwPriceModel:
 def _model_distribution(model: QwPriceModel, seed: int,
                         realizations: int) -> PositionDistribution:
     """The walk's distribution: the one unitary walk of the model's coin when
-    it is noiseless, else the mean of the ensemble engine's sweep."""
+    it is noiseless, else the mean of :func:`decoherence.run_ensemble`."""
     spec, n = model.decoherence, model.steps_per_horizon
     if not spec.p:
         return position_distribution(evolve(model.ic, make_su2_coin(model.angles), n))
-    return decoherence._sweep(model.ic, [model.angles.theta], spec.mode, [spec.p], n,
-                              realizations, seed)[0][0].mean
+    return decoherence.run_ensemble(model.ic, model.angles.theta, spec, n, realizations,
+                                    seed).mean
 
 
 def _lattice_scale(model: QwPriceModel, dist: PositionDistribution) -> float:
@@ -205,11 +205,10 @@ def qw_price_path(
 
 def _path_cost(model: QwPriceModel, horizons: int) -> tuple[int, int]:
     """(site updates, bytes of one batch) of :func:`qw_price_path` over
-    ``horizons`` with a calibrated lattice scale: a unitary walk serves every
-    horizon; a stochastic one is two sweeps of ``decoherence._sweep_cost``,
-    the calibration's realizations and then one realization per horizon."""
+    ``horizons`` with a calibrated lattice scale: one sweep of the
+    calibration's realizations and one per horizon, which costs what the two
+    do, since the calibration fills a batch and a unitary walk's cost does
+    not depend on its count."""
     spec, n = model.decoherence, model.steps_per_horizon
-    sweeps = [_CALIBRATION_REALIZATIONS, horizons] if spec.p else [1]
-    updates, batch, _ = zip(*(decoherence._sweep_cost(spec.mode, [spec.p], n, r)
-                              for r in sweeps))
-    return sum(updates), max(batch)
+    return decoherence._sweep_cost(spec.mode, [spec.p], n,
+                                   _CALIBRATION_REALIZATIONS + horizons)[:2]

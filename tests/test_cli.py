@@ -480,6 +480,9 @@ GRID = HEATMAP_DOC["grid"]
     # an axis whose span, or whose bin midpoints, pass the float range
     (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], start=-1e308, stop=1e308)), "axis"),
     (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], start=1e308, stop=1.7e308)), "axis"),
+    # 2e6 stable abscissae whose quadratures run side by side: gigabytes,
+    # while their output rows are 256 MB
+    (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], bins=10**6)), "axis.bins"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -511,6 +514,19 @@ def test_memory_ceiling_names_the_field_that_drives_the_table(monkeypatch):
     with pytest.raises(ConfigError) as err:
         make_cfg(dict(ENTROPY_DOC, n_values=[10] * 2000))
     assert err.value.path == "n_values"
+
+
+def test_memory_ceiling_charges_the_sum_of_what_a_run_holds(monkeypatch):
+    # the bundled random-phase entropy sweep holds its walk batch (1.58 MiB)
+    # and its per-theta rows (1.28 MiB) at once, and then its output rows:
+    # neither alone passes a 2 MiB ceiling, their sum does
+    doc = json.loads((ROOT / "scripts" / "configs" / "entropy_random_phase.json")
+                     .read_text(encoding="utf-8"))
+    parse_config(doc)
+    monkeypatch.setattr(cli, "MAX_WORK_BYTES", 2 * 2**20)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == "n_values[0]"
 
 
 def test_bundled_and_benchmark_configs_stay_far_below_the_memory_ceiling(monkeypatch, capsys):

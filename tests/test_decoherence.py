@@ -324,14 +324,20 @@ def test_every_engine_rejects_a_non_finite_theta(spec, theta, monkeypatch):
 def test_sweep_walks_the_unitary_series_only_for_a_zero_p(mode, monkeypatch):
     # p = 0.01 leaves quiet random-phase walks, which take a zero-phase walk
     # of their own batch; only p = 0 walks the series, once per theta
-    calls, unitary = [], decoherence._unitary
-    monkeypatch.setattr(decoherence, "_unitary",
-                        lambda *args: calls.append(args[1]) or unitary(*args))
+    calls, grid_probs = [], decoherence._grid_probs
+
+    def counting(ic, pairs, n):
+        pairs = list(pairs)  # recorded whole, and handed on whole
+        calls.append(pairs)
+        return grid_probs(ic, pairs, n)
+
+    monkeypatch.setattr(decoherence, "_grid_probs", counting)
     thetas, ps = [0.4, 1.1, 1.3], [0.3, 0.01]
     noisy = decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps, 6, 130, seed=2)
     assert not calls
     mixed = decoherence._sweep(SYMMETRIC_IC, thetas, mode, ps + [0.0], 6, 130, seed=2)
-    assert calls == [thetas]
+    assert calls == [[(0.0, theta) for theta in thetas]]
+    assert len(mixed) == len(ps) + 1 and all(len(got) == len(thetas) for got in mixed)
     for got, want in zip(mixed, noisy):
         assert [g.mean.probs.tobytes() for g in got] == [w.mean.probs.tobytes() for w in want]
 

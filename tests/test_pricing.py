@@ -288,9 +288,14 @@ def test_unitary_price_path_walks_once(monkeypatch):
 
 def test_stochastic_price_path_walks_no_unitary_series(monkeypatch):
     # neither the calibration sweep nor the path walks the unitary series
-    calls, unitary = [], decoherence._unitary
-    monkeypatch.setattr(decoherence, "_unitary",
-                        lambda *args: calls.append(args) or unitary(*args))
+    calls, grid_probs = [], decoherence._grid_probs
+
+    def counting(ic, pairs, n):
+        pairs = list(pairs)  # recorded whole, and handed on whole
+        calls.append(pairs)
+        return grid_probs(ic, pairs, n)
+
+    monkeypatch.setattr(decoherence, "_grid_probs", counting)
     model = model_with(angles=CoinAngles(0.0, 1.1, 0.0), steps_per_horizon=9,
                        decoherence=DecoherenceSpec.broken_links(0.01))
     assert len(qw_price_path(model, total_steps=5, seed=3)) == 6
