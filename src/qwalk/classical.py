@@ -192,13 +192,21 @@ def _stable_pdfs(xs, params: StableParams) -> list[float]:
     return values
 
 
-def _stable_cost(count: int) -> int:
-    """The bytes :func:`_stable_pdfs` holds over ``count`` abscissae: a block's
-    Gauss nodes at six complex values each (83 B traced at alpha = 1), and 4 KB
-    an abscissa for its generators, requests and kept sums (2.8 KB traced);
-    not its per-panel rows, 24 B a panel and 8 an abscissa (4,900 panels on
-    compare-returns' bundled axis)."""
-    return _PANEL_BLOCK * len(_GL_NODES) * 96 + count * 4096
+def _stable_cost(count: int, reach: float, params: StableParams) -> tuple[int, int]:
+    """(Gauss nodes, bytes) of :func:`_stable_pdfs` over ``count`` abscissae
+    at most ``reach`` from mu, as the widest direct quadrature's first two
+    panel sets, of n and 2n panels, bound them.  The bytes: a block's Gauss
+    nodes at six complex values each (83 B traced at alpha = 1), 4 KB an
+    abscissa for its generators, requests and kept sums (2.8 KB traced), and
+    the second set's per-panel rows, 24 B a panel and 8 for each of the two
+    mirrored abscissae sharing it."""
+    try:
+        cycles = min(_cutoff(params) * reach / (2.0 * math.pi), _MAX_DIRECT_CYCLES)
+    except QuadratureError:  # the column fails before its first panel
+        cycles = 0.0
+    panels = max(16, math.ceil(2.0 * cycles))
+    return (count * 3 * panels * len(_GL_NODES),
+            _PANEL_BLOCK * len(_GL_NODES) * 96 + count * 4096 + 2 * panels * (24 + 2 * 8))
 
 
 def _cutoff(params: StableParams) -> float:

@@ -9,11 +9,12 @@ JSON document into the output directory.  Runs are deterministic: a fixed
                     [--format csv|json]
 
 Commands: distribution, heatmap, entropy, decoherence, compare-returns,
-price-path.  Exit codes: 0 success, 2 config, input or output error (a
-config whose run would pass ``MAX_WORK_BYTES`` is a config error), 3
+price-path.  Exit codes: 0 success, 2 config, input, output or memory
+error (a config whose run would pass ``MAX_WORK_BYTES`` is a config error,
+and an admitted run that cannot allocate its memory a memory error), 3
 numerical self-check failure.  A config that implies more than
-``WARN_SITE_UPDATES`` site updates still runs, after one warning line on
-stderr.
+``WARN_SITE_UPDATES`` site updates, counting compare-returns' stable
+quadrature nodes, still runs, after one warning line on stderr.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ def _integer(doc: dict, key: str, path: str, lo=None, default=None) -> int:
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(_join(path, key), f"expected an integer, got {v!r}")
+    if abs(v) >= 2**1023:  # past the float range, as _number counts it
+        raise ConfigError(_join(path, key), f"must be finite, got {'-' * (v < 0)}inf")
     if lo is not None and v < lo:
         raise ConfigError(_join(path, key), f"must be >= {lo}, got {v}")
     return v
@@ -276,17 +279,21 @@ def _rows_bytes(factors: dict) -> tuple[str, int]:
     return max(factors, key=factors.get), math.prod(factors.values()) * _ROW_BYTES
 
 
-def _check_size(site_updates: int, *costs: tuple[str, int]):
+def _check_size(site_updates: int, *costs: tuple[str, int], nodes: int = 0):
     """Reject a run whose (path, bytes) costs, which it holds at once, sum
     past the ceiling, naming the field of the largest; announce on stderr a
-    run of more than ``WARN_SITE_UPDATES`` site updates."""
+    run of more than ``WARN_SITE_UPDATES`` site updates and stable-quadrature
+    Gauss ``nodes``."""
     path, nbytes = max(costs, key=lambda c: c[1])[0], sum(c[1] for c in costs)
     if nbytes > MAX_WORK_BYTES:
         raise ConfigError(path, f"the run would need about {nbytes >> 20} MiB of working "
                                 f"memory, over the {MAX_WORK_BYTES >> 20} MiB ceiling")
-    if site_updates > WARN_SITE_UPDATES:
-        print(f"warning: the run implies about {site_updates:.2e} site updates "
-              "(n^2 per walk or realization)", file=sys.stderr)
+    work = site_updates + nodes
+    if work > WARN_SITE_UPDATES:
+        what = " and stable-quadrature Gauss nodes (16 per panel)" if nodes else ""
+        about = f"about {work:.2e}" if work < 1e308 else "over 1e+308"  # no float past it
+        print(f"warning: the run implies {about} site updates (n^2 per walk or "
+              f"realization){what}", file=sys.stderr)
 
 
 _COMMON_KEYS = ("experiment", "seed", "realizations", "format")
@@ -421,8 +428,10 @@ def _parse_compare_returns(doc, realizations):
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
     updates, batch, _ = decoherence._sweep_cost("broken_links", [p], n, realizations)
+    reach = max(abs(axis[0] - stable.mu), abs(axis[1] - stable.mu))  # the farthest abscissa
+    nodes, column = _stable_cost(2 * axis[2] + 1, reach, stable)
     _check_size(updates, ("n", batch), _rows_bytes({"axis.bins": axis[2]}),
-                ("axis.bins", _stable_cost(2 * axis[2] + 1)))
+                ("axis.bins", column), nodes=nodes)
     return n, p, axis, theta, ic, stable, gaussian
 
 
@@ -740,6 +749,10 @@ def run(argv: list[str] | None = None) -> int:
         header, rows = _COMMANDS[experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an admitted run the machine cannot hold
+        print(f"memory error: the run could not allocate its working memory: {exc}",
+              file=sys.stderr)
         return 2
     except (QuadratureError, SelfCheckError) as exc:
         print(f"numerical self-check failed: {exc}", file=sys.stderr)

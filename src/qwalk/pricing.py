@@ -116,7 +116,8 @@ class QwPriceModel:
         _check_integer("steps_per_horizon", self.steps_per_horizon, 1)
         if not self.dt_per_step > 0:
             raise ValueError("dt_per_step must be positive")
-        if not math.isfinite(self.horizon):
+        # a step count past the float range has no float product to check
+        if not (self.steps_per_horizon < 2**1023 and math.isfinite(self.horizon)):
             raise ValueError("the horizon steps_per_horizon * dt_per_step must be finite")
         if self.decoherence.p and self.angles.eta != 0.0:  # p = 0 is the unitary walk
             raise ValueError("decoherent walks (p > 0) are defined for the single-angle "

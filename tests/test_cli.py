@@ -3,7 +3,11 @@ import importlib
 import itertools
 import json
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -483,6 +487,12 @@ GRID = HEATMAP_DOC["grid"]
     # 2e6 stable abscissae whose quadratures run side by side: gigabytes,
     # while their output rows are 256 MB
     (dict(COMPARE_DOC, axis=dict(COMPARE_DOC["axis"], bins=10**6)), "axis.bins"),
+    # integers past the float range, which once overflowed the work warning
+    # and the horizon instead
+    (dict(DECOHERENCE_DOC, realizations=2**1100), "realizations"),
+    (dict(PRICE_DOC, model=dict(PRICE_DOC["model"], steps_per_horizon=2**1100)),
+     "model.steps_per_horizon"),
+    (dict(PRICE_DOC, horizons=2**1100), "horizons"),
 ])
 def test_cli_rejects_bad_nested_numbers_with_their_path(tmp_path, capsys, doc, path):
     with pytest.raises(ConfigError) as err:
@@ -675,6 +685,17 @@ def test_large_jobs_are_announced_on_stderr(capsys, n, warned):
                    "(n^2 per walk or realization)\n" if warned else "")
 
 
+def test_long_stable_columns_are_announced_with_their_gauss_nodes(capsys):
+    # 40,001 abscissae within 100 of mu, each up to three times 61,100 panels
+    # of 16 nodes: 1.17e11 nodes, beside 23,040 site updates of the walk
+    parse_config(dict(COMPARE_DOC, axis={"start": -100.0, "stop": 100.0, "bins": 20_000}))
+    assert capsys.readouterr().err == (
+        "warning: the run implies about 1.17e+11 site updates (n^2 per walk or "
+        "realization) and stable-quadrature Gauss nodes (16 per panel)\n")
+    parse_config(dict(COMPARE_DOC, axis={"start": -100.0, "stop": 100.0, "bins": 2_000}))
+    assert capsys.readouterr().err == ""
+
+
 def test_repeated_probabilities_are_counted_once(capsys):
     # the sweep walks a repeated p once: 1e5 realizations of n^2 = 1e4 site
     # updates, not 200 times that
@@ -731,7 +752,7 @@ BROKEN_MODEL = dict(PRICE_DOC["model"], decoherence={"mode": "broken_links", "p"
 def test_announced_work_equals_walked_work(monkeypatch, doc):
     announced, walked, quiet, streams = [], [], [], {}
 
-    def check_size(site_updates, *costs):
+    def check_size(site_updates, *costs, nodes=0):  # the walks' work alone
         announced.append(site_updates)
 
     def counted(kernel):
@@ -847,6 +868,39 @@ def test_cli_override_flags_are_validated(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_override_flag_past_the_float_range_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, DECOHERENCE_DOC)
+    argv = ["decoherence", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert run(argv + ["--realizations", str(2**1100)]) == 2
+    assert capsys.readouterr().err == "config error: realizations: must be finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_work_past_the_float_range_is_announced(capsys):
+    # 1e6 site updates for each of 2**1022 realizations: no float holds the count
+    parse_config(dict(DECOHERENCE_DOC, n=1000, p_values=[0.5], realizations=2**1022))
+    assert capsys.readouterr().err == ("warning: the run implies over 1e+308 site updates "
+                                       "(n^2 per walk or realization)\n")
+
+
+def test_a_run_that_cannot_allocate_exits_2_with_one_line(tmp_path):
+    # charged 1.2 GiB, below the ceiling; its (64, 3000, 6002) count mask
+    # alone is 1.07 GiB, past an address-space limit of 600 MiB that the
+    # child sets on itself
+    doc = dict(DECOHERENCE_DOC, n=3000, p_values=[0.1], realizations=64)
+    parse_config(doc)
+    cfg_path = write_config(tmp_path, doc)
+    limit = 600 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwalk.cli", "decoherence", "--config", str(cfg_path),
+         "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("memory error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_override_flags_set_the_effective_config(tmp_path):
     cfg_path = write_config(tmp_path, DECOHERENCE_DOC)
     out = tmp_path / "o"
@@ -896,7 +950,7 @@ FUZZ_KEYS = sorted({path[-1] for doc in FUZZ_DOCS for path, _ in _nodes(doc)
                       "decoherence", "scaler", "mode", "p", "p_tilde", "xi", "bogus"})
 FUZZ_LEAVES = st.sampled_from([
     None, True, False, "", "up", -1, 0, 1, 2, 3, NAN, math.inf, -math.inf, BIG, 2**64,
-    [], [0.5, 2], {}, {"mode": "custom", "theta": 1},
+    [], [0.5, 2], {}, {"mode": "custom", "theta": 1}, 2**1100,
 ]).map(copy.deepcopy)
 
 

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from qwalk import cli, decoherence
 from qwalk.classical import StableParams, _stable_pdfs
@@ -57,6 +58,22 @@ def test_the_compare_returns_stable_column_peaks_below_2_5_mb():
     centers = 0.5 * (edges[:-1] + edges[1:])
     params = StableParams(0.5, 0.5, 1.0 / math.sqrt(2.0), 0.0)
     assert _traced_peak(lambda: _stable_pdfs([*edges, *centers], params)) < 2.5e6
+
+
+@pytest.mark.parametrize("bins, half", [(33, 40.0), (3, 100.0)])
+def test_wide_stable_columns_peak_within_what_the_ceiling_charges(monkeypatch, bins, half):
+    # the widest abscissa's direct quadrature asks for tens of thousands of
+    # panels, whose per-panel rows the charge once left out: the whole run
+    # was charged 2.24 and 1.98 MB against the column's traced 3.23 and 6.10 MB
+    charged, check_size = [], cli._check_size
+    monkeypatch.setattr(cli, "_check_size", lambda updates, *costs, **kw: charged.append(
+        sum(nbytes for _, nbytes in costs)) or check_size(updates, *costs, **kw))
+    cfg = cli.parse_config({"experiment": "compare_returns", "n": 24, "p": 0.3,
+                            "realizations": 40,
+                            "axis": {"start": -half, "stop": half, "bins": bins}})
+    edges = np.linspace(-half, half, bins + 1)
+    xs = [*edges, *(0.5 * (edges[:-1] + edges[1:]))]
+    assert _traced_peak(lambda: _stable_pdfs(xs, cfg.spec[5])) <= charged[-1]
 
 
 def _configs(seed=25, per_command=5):
@@ -135,8 +152,8 @@ def test_every_command_holds_at_most_what_the_ceiling_charges(monkeypatch):
     # each config is parsed once, recording the costs its parser hands to
     # _check_size, and run twice; the second run is traced
     charged, check_size = [], cli._check_size
-    monkeypatch.setattr(cli, "_check_size", lambda updates, *costs: charged.append(
-        sum(nbytes for _, nbytes in costs)) or check_size(updates, *costs))
+    monkeypatch.setattr(cli, "_check_size", lambda updates, *costs, **kw: charged.append(
+        sum(nbytes for _, nbytes in costs)) or check_size(updates, *costs, **kw))
     def run(cfg):
         # a run stopped by a self-check, such as an empty quantum bin of a
         # walk that many broken links keep near the origin, holds no more

@@ -106,6 +106,8 @@ def test_model_validation():
             model_with(steps_per_horizon=steps)
     with pytest.raises(ValueError, match="finite"):
         model_with(dt_per_step=1e308)  # 100 steps overflow the horizon to inf
+    with pytest.raises(ValueError, match="finite"):
+        model_with(steps_per_horizon=2**1100)  # no float holds the step count
     # decoherent runs require the single-angle coin family
     with pytest.raises(ValueError, match="single-angle"):
         model_with(
