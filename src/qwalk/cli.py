@@ -113,89 +113,76 @@ class ExperimentConfig:
         }
 
 
-def _require_keys(doc: dict, path: str, required: tuple, optional: tuple = ()):
-    allowed = set(required) | set(optional)
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(_join(path, key), "unknown key")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(_join(path, key), "missing required key")
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _section(doc: dict, key: str, required: tuple = (), optional: tuple = ()) -> dict:
-    """The object at ``key`` with its keys checked; {} when ``key`` is absent."""
-    if key not in doc:
-        return {}
-    if not isinstance(doc[key], dict):
-        raise ConfigError(key, "expected an object")
-    _require_keys(doc[key], key, required, optional)
-    return doc[key]
+def _object(doc, path: str, required: tuple = (), optional: tuple = (),
+            what: str = "an object") -> dict:
+    """``doc``, checked to be an object of the ``required`` keys and any of
+    the ``optional`` ones; ``what`` names what was expected of a non-object."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected {what}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ConfigError(_join(path, key), "unknown key")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(_join(path, key), "missing required key")
+    return doc
 
 
-def _number(doc: dict, key: str, path: str, lo=None, hi=None, default=None) -> float:
-    if default is not None and key not in doc:
-        return default
-    v = doc.get(key)
+def _number(v, path: str, lo=None, hi=None) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(_join(path, key), f"expected a number, got {v!r}")
+        raise ConfigError(path, f"expected a number, got {v!r}")
     # an integer literal past the float range counts as infinite
     v = float(v) if isinstance(v, float) or abs(v) < 2**1023 else math.inf
     if not math.isfinite(v):
-        raise ConfigError(_join(path, key), f"must be finite, got {v}")
+        raise ConfigError(path, f"must be finite, got {v}")
     if lo is not None and v < lo:
-        raise ConfigError(_join(path, key), f"must be >= {lo}, got {v}")
+        raise ConfigError(path, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
-        raise ConfigError(_join(path, key), f"must be <= {hi}, got {v}")
+        raise ConfigError(path, f"must be <= {hi}, got {v}")
     return v
 
 
-def _integer(doc: dict, key: str, path: str, lo=None, default=None) -> int:
-    if default is not None and key not in doc:
-        return default
-    v = doc.get(key)
+def _integer(v, path: str, lo=None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(_join(path, key), f"expected an integer, got {v!r}")
+        raise ConfigError(path, f"expected an integer, got {v!r}")
     if abs(v) >= 2**1023:  # past the float range, as _number counts it
-        raise ConfigError(_join(path, key), f"must be finite, got {'-' * (v < 0)}inf")
+        raise ConfigError(path, f"must be finite, got {'-' * (v < 0)}inf")
     if lo is not None and v < lo:
-        raise ConfigError(_join(path, key), f"must be >= {lo}, got {v}")
+        raise ConfigError(path, f"must be >= {lo}, got {v}")
     return v
 
 
-def _string(doc: dict, key: str, path: str, choices=None, default=None) -> str:
-    if default is not None and key not in doc:
-        return default
-    v = doc.get(key)
+def _string(v, path: str, choices=None) -> str:
     if not isinstance(v, str):
-        raise ConfigError(_join(path, key), f"expected a string, got {v!r}")
+        raise ConfigError(path, f"expected a string, got {v!r}")
     if choices is not None and v not in choices:
-        raise ConfigError(_join(path, key), f"must be one of {sorted(choices)}, got {v!r}")
+        raise ConfigError(path, f"must be one of {sorted(choices)}, got {v!r}")
     return v
 
 
-def _boolean(doc: dict, key: str, default: bool) -> bool:
-    v = doc.get(key, default)
+def _boolean(v, path: str) -> bool:
     if not isinstance(v, bool):
-        raise ConfigError(key, "expected a boolean")
+        raise ConfigError(path, "expected a boolean")
     return v
 
 
-def _parse_number_list(doc: dict, key: str, path: str, integer=False, lo=None, hi=None,
-                       default=None) -> list:
-    if default is not None and key not in doc:
-        return default
-    values = doc.get(key)
+def _numbers(values, path: str, item=_number, **bounds) -> list:
+    """A non-empty list, each item checked by ``item`` with the ``bounds``."""
     if not isinstance(values, list) or not values:
-        raise ConfigError(_join(path, key), "expected a non-empty list")
-    items = [(f"{_join(path, key)}[{i}]", v) for i, v in enumerate(values)]
-    if integer:
-        return [_integer({item: v}, item, "", lo=lo) for item, v in items]
-    return [_number({item: v}, item, "", lo=lo, hi=hi) for item, v in items]
+        raise ConfigError(path, "expected a non-empty list")
+    return [item(v, f"{path}[{i}]", **bounds) for i, v in enumerate(values)]
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ``ValueError`` is a config error at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_ic(doc, path: str) -> InitialCoinState:
@@ -203,45 +190,30 @@ def _parse_ic(doc, path: str) -> InitialCoinState:
         if doc not in _IC_PRESETS:
             raise ConfigError(path, f"unknown preset {doc!r}; use {sorted(_IC_PRESETS)}")
         return _IC_PRESETS[doc]
-    if (
-        isinstance(doc, list)
-        and len(doc) == 2
-        and all(isinstance(c, list) and len(c) == 2 for c in doc)
-    ):
-        a, b = (
-            complex(*_parse_number_list({f"{path}[{i}]": row}, f"{path}[{i}]", ""))
-            for i, row in enumerate(doc)
-        )
-        try:
-            return InitialCoinState(a, b)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+    if isinstance(doc, list) and len(doc) == 2 and all(
+            isinstance(c, list) and len(c) == 2 for c in doc):
+        rows = (complex(*_numbers(row, f"{path}[{i}]")) for i, row in enumerate(doc))
+        return _build(path, InitialCoinState, *rows)
     raise ConfigError(path, "expected a preset name or [[a_re,a_im],[b_re,b_im]]")
 
 
 def _parse_coin(doc, path: str) -> CoinAngles:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object with keys xi, theta, zeta")
-    _require_keys(doc, path, required=("theta",), optional=("xi", "zeta"))
-    return CoinAngles(
-        xi=_number(doc, "xi", path, default=0.0),
-        theta=_number(doc, "theta", path),
-        zeta=_number(doc, "zeta", path, default=0.0),
-    )
+    doc = _object(doc, path, ("theta",), ("xi", "zeta"), "an object with keys xi, theta, zeta")
+    return CoinAngles(*(_number(doc.get(key, 0.0), f"{path}.{key}")
+                        for key in ("xi", "theta", "zeta")))
 
 
 def _parse_mode(doc, path: str, cls, modes: dict, parse_arg):
     """``cls.<mode>(*args)``: each mode names a constructor of ``cls``, and
-    ``modes[mode]`` lists the keys of its arguments, each read by ``parse_arg``."""
+    ``modes[mode]`` lists the keys of its arguments, each read by ``parse_arg``
+    from its (value, path).  The keys allowed depend on the mode, which is
+    therefore read before they are checked."""
     if not isinstance(doc, dict):
         raise ConfigError(path, "expected an object with key mode")
-    mode = _string(doc, "mode", path, choices=modes)
-    _require_keys(doc, path, required=("mode", *modes[mode]))
-    args = [parse_arg(doc, key, path) for key in modes[mode]]
-    try:
-        return getattr(cls, mode)(*args)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    mode = _string(doc.get("mode"), f"{path}.mode", choices=modes)
+    _object(doc, path, ("mode", *modes[mode]))
+    return _build(path, getattr(cls, mode), *(parse_arg(doc[key], f"{path}.{key}")
+                                              for key in modes[mode]))
 
 
 def _parse_range(doc, path: str, count_key: str = "count",
@@ -250,14 +222,11 @@ def _parse_range(doc, path: str, count_key: str = "count",
     lie within [0, pi/2].  Every span and every sum of two grid points stays
     within 2 max(|start|, |stop|), so its finiteness keeps both from
     overflowing."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object {start, stop, count}")
-    _require_keys(doc, path, required=("start", "stop", count_key))
-    start = _number(doc, "start", path)
-    stop = _number(doc, "stop", path)
-    count = _integer(doc, count_key, path, lo=2)
+    doc = _object(doc, path, ("start", "stop", count_key), what="an object {start, stop, count}")
+    start, stop = (_number(doc[key], f"{path}.{key}") for key in ("start", "stop"))
+    count = _integer(doc[count_key], f"{path}.{count_key}", lo=2)
     if stop <= start:
-        raise ConfigError(_join(path, "stop"), "must exceed start")
+        raise ConfigError(f"{path}.stop", "must exceed start")
     if not math.isfinite(2.0 * max(abs(start), abs(stop))):
         raise ConfigError(path, "|start| and |stop| must not exceed 8.9e307, so that "
                           "the span and midpoints stay finite")
@@ -322,14 +291,13 @@ def parse_config(doc: dict, experiment: str | None = None) -> ExperimentConfig:
     if exp not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {exp!r}")
     if experiment is not None and exp != experiment:
-        raise ConfigError(
-            "experiment", f"config says {exp!r} but the {experiment!r} command was run"
-        )
+        raise ConfigError("experiment",
+                          f"config says {exp!r} but the {experiment!r} command was run")
     required, optional, parse = _PARSERS[exp]
-    _require_keys(doc, "", required, _COMMON_KEYS + optional)
-    seed = _integer(doc, "seed", "", lo=0, default=0)
-    realizations = _integer(doc, "realizations", "", lo=1, default=1000)
-    out_format = _string(doc, "format", "", choices={"csv", "json"}, default="csv")
+    _object(doc, "", required, _COMMON_KEYS + optional)
+    seed = _integer(doc.get("seed", 0), "seed", lo=0)
+    realizations = _integer(doc.get("realizations", 1000), "realizations", lo=1)
+    out_format = _string(doc.get("format", "csv"), "format", choices={"csv", "json"})
     params = {k: doc[k] for k in doc if k not in _COMMON_KEYS}
     return ExperimentConfig(exp, seed, realizations, out_format, params,
                             spec=parse(params, realizations))
@@ -343,17 +311,15 @@ def _parse_distribution(doc, _realizations):
     parsed = []
     for i, run in enumerate(runs):
         path = f"runs[{i}]"
-        if not isinstance(run, dict):
-            raise ConfigError(path, "expected an object")
-        _require_keys(run, path, required=("label", "n"), optional=("coin", "initial_state"))
+        run = _object(run, path, ("label", "n"), ("coin", "initial_state"))
         parsed.append((
-            _string(run, "label", path),
-            _integer(run, "n", path, lo=0),
-            _parse_coin(run.get("coin", {"theta": math.pi / 4}), _join(path, "coin")),
-            _parse_ic(run.get("initial_state", "symmetric"), _join(path, "initial_state")),
+            _string(run["label"], f"{path}.label"),
+            _integer(run["n"], f"{path}.n", lo=0),
+            _parse_coin(run.get("coin", {"theta": math.pi / 4}), f"{path}.coin"),
+            _parse_ic(run.get("initial_state", "symmetric"), f"{path}.initial_state"),
         ))
-    rescale = _string(doc, "rescale", "", choices={"none", "max_position", "peak_position"},
-                      default="none")
+    rescale = _string(doc.get("rescale", "none"), "rescale",
+                      choices={"none", "max_position", "peak_position"})
     widest = max(range(len(parsed)), key=lambda i: parsed[i][1])
     _check_size(sum(run[1] ** 2 for run in parsed),
                 _rows_bytes({f"runs[{widest}].n": sum(2 * run[1] + 1 for run in parsed)}))
@@ -362,9 +328,9 @@ def _parse_distribution(doc, _realizations):
 
 @_parser("heatmap", required=("statistic", "n", "grid"), optional=("initial_state",))
 def _parse_heatmap(doc, _realizations):
-    statistic = _string(doc, "statistic", "", choices={"skewness", "variance_over_n2"})
-    n = _integer(doc, "n", "", lo=1)
-    g = _section(doc, "grid", required=("eta", "theta"))
+    statistic = _string(doc["statistic"], "statistic", choices={"skewness", "variance_over_n2"})
+    n = _integer(doc["n"], "n", lo=1)
+    g = _object(doc["grid"], "grid", ("eta", "theta"))
     eta, theta = (_parse_range(g[key], f"grid.{key}", _angle=True) for key in ("eta", "theta"))
     _exclude_half_pi(theta[1], "grid.theta.stop")
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
@@ -378,10 +344,10 @@ def _parse_heatmap(doc, _realizations):
          optional=("p_tilde_values", "initial_state", "include_classical", "include_uniform"))
 def _parse_entropy(doc, realizations):
     theta_grid = _parse_range(doc["theta_grid"], "theta_grid")
-    n_values = _parse_number_list(doc, "n_values", "", integer=True, lo=0)
-    p_tildes = _parse_number_list(doc, "p_tilde_values", "", lo=0.0, hi=1.0, default=[0.0])
+    n_values = _numbers(doc["n_values"], "n_values", item=_integer, lo=0)
+    p_tildes = _numbers(doc.get("p_tilde_values", [0.0]), "p_tilde_values", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    flags = [_boolean(doc, flag, True) for flag in ("include_classical", "include_uniform")]
+    flags = [_boolean(doc.get(f, True), f) for f in ("include_classical", "include_uniform")]
     _exclude_half_pi(theta_grid[1], "theta_grid.stop")
     updates, batch, series = zip(*(decoherence._sweep_cost(  # one sweep per n
         "random_phase", p_tildes, n, realizations, theta_grid[2]) for n in n_values))
@@ -396,11 +362,11 @@ def _parse_entropy(doc, realizations):
 @_parser("decoherence", required=("n", "theta", "p_values"),
          optional=("initial_state", "normalize_to_classical"))
 def _parse_decoherence(doc, realizations):
-    n = _integer(doc, "n", "", lo=1)
-    theta = _number(doc, "theta", "")
-    p_values = _parse_number_list(doc, "p_values", "", lo=0.0, hi=1.0)
+    n = _integer(doc["n"], "n", lo=1)
+    theta = _number(doc["theta"], "theta")
+    p_values = _numbers(doc["p_values"], "p_values", lo=0.0, hi=1.0)
     ic = _parse_ic(doc.get("initial_state", "symmetric"), "initial_state")
-    to_classical = _boolean(doc, "normalize_to_classical", False)
+    to_classical = _boolean(doc.get("normalize_to_classical", False), "normalize_to_classical")
     updates, batch, series = decoherence._sweep_cost("broken_links", p_values, n, realizations)
     _check_size(updates, ("n", batch), ("p_values", series),
                 _rows_bytes({"n": 2 * n + 1, "p_values": len(p_values) + 1}))
@@ -410,21 +376,18 @@ def _parse_decoherence(doc, realizations):
 @_parser("compare_returns", required=("n", "p", "axis"),
          optional=("theta", "initial_state", "stable", "gaussian"))
 def _parse_compare_returns(doc, realizations):
-    n = _integer(doc, "n", "", lo=1)
-    p = _number(doc, "p", "", lo=0.0, hi=1.0)
+    n = _integer(doc["n"], "n", lo=1)
+    p = _number(doc["p"], "p", lo=0.0, hi=1.0)
     axis = _parse_range(doc["axis"], "axis", count_key="bins")
-    theta = _number(doc, "theta", "", default=math.pi / 4)
+    theta = _number(doc.get("theta", math.pi / 4), "theta")
     ic = _parse_ic(doc.get("initial_state", "up"), "initial_state")
-    s = _section(doc, "stable", required=("alpha", "beta"), optional=("c", "mu"))
+    s = _object(doc["stable"], "stable", ("alpha", "beta"), ("c", "mu")) if "stable" in doc else {}
     defaults = {"alpha": 0.5, "beta": 0.5, "c": 1.0 / math.sqrt(2.0), "mu": 0.0}
-    kwargs = {k: _number(s, k, "stable", default=v) for k, v in defaults.items()}
-    try:
-        stable = StableParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("stable", str(exc)) from exc
-    g = _section(doc, "gaussian", optional=("mu", "sigma"))
-    gaussian = (_number(g, "mu", "gaussian", default=0.0),
-                _number(g, "sigma", "gaussian", default=1.0))
+    stable = _build("stable", StableParams, **{k: _number(s.get(k, v), f"stable.{k}")
+                                               for k, v in defaults.items()})
+    g = _object(doc.get("gaussian", {}), "gaussian", optional=("mu", "sigma"))
+    gaussian = (_number(g.get("mu", 0.0), "gaussian.mu"),
+                _number(g.get("sigma", 1.0), "gaussian.sigma"))
     if gaussian[1] <= 0:
         raise ConfigError("gaussian.sigma", "must be positive")
     updates, batch, _ = decoherence._sweep_cost("broken_links", [p], n, realizations)
@@ -437,35 +400,28 @@ def _parse_compare_returns(doc, realizations):
 
 @_parser("price_path", required=("model", "horizons"))
 def _parse_price_path(doc, _realizations):
-    horizons = _integer(doc, "horizons", "", lo=1)
-    m = _section(
-        doc,
-        "model",
-        required=("sigma", "steps_per_horizon", "dt_per_step", "coin"),
-        optional=("mu", "s0", "initial_state", "decoherence", "scaler"),
-    )
-    kwargs = dict(
-        mu=_number(m, "mu", "model", default=0.0),
-        sigma=_number(m, "sigma", "model", lo=0.0),
+    horizons = _integer(doc["horizons"], "horizons", lo=1)
+    m = _object(doc["model"], "model", ("sigma", "steps_per_horizon", "dt_per_step", "coin"),
+                ("mu", "s0", "initial_state", "decoherence", "scaler"))
+    model = _build(
+        "model", QwPriceModel,
+        mu=_number(m.get("mu", 0.0), "model.mu"),
+        sigma=_number(m["sigma"], "model.sigma", lo=0.0),
         ic=_parse_ic(m.get("initial_state", "symmetric"), "model.initial_state"),
         angles=_parse_coin(m["coin"], "model.coin"),
         decoherence=_parse_mode(
             m.get("decoherence", {"mode": "none"}), "model.decoherence", DecoherenceSpec,
             {"none": (), "broken_links": ("p",), "random_phase": ("p_tilde",)},
-            lambda d, key, path: _number(d, key, path, lo=0.0, hi=1.0),
+            lambda v, path: _number(v, path, lo=0.0, hi=1.0),
         ),
-        steps_per_horizon=_integer(m, "steps_per_horizon", "model", lo=1),
-        dt_per_step=_number(m, "dt_per_step", "model", lo=0.0),
+        steps_per_horizon=_integer(m["steps_per_horizon"], "model.steps_per_horizon", lo=1),
+        dt_per_step=_number(m["dt_per_step"], "model.dt_per_step", lo=0.0),
         scaler=_parse_mode(
             m.get("scaler", {"mode": "unit"}), "model.scaler", DiffusionScaler,
-            {"unit": (), "inverse_sqrt": (), "custom": ("t", "f")}, _parse_number_list,
+            {"unit": (), "inverse_sqrt": (), "custom": ("t", "f")}, _numbers,
         ),
-        s0=_number(m, "s0", "model", default=1.0),
+        s0=_number(m.get("s0", 1.0), "model.s0"),
     )
-    try:
-        model = QwPriceModel(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
     if not math.isfinite(horizons * model.horizon):  # the time of the last row
         raise ConfigError("horizons", "the time horizons * model.horizon must be finite")
     updates, batch = pricing._path_cost(model, horizons)
@@ -551,8 +507,7 @@ def cmd_decoherence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     sweep = decoherence._sweep(ic, [theta], "broken_links", p_values, n, cfg.realizations,
                                cfg.seed)
     for p, (result,) in zip(p_values, sweep):
-        dist = result.mean
-        sem = result.sem
+        dist, sem = result.mean, result.sem
         if to_classical:
             scaled = normalize_to_reference(dist, classical)
             # the rescaling is linear; apply the same factor to the errors
@@ -597,9 +552,8 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     cdf = [0.5 * (1.0 + math.erf((x - g_mu) / (g_sigma * math.sqrt(2.0)))) for x in edges]
     gaussian = unit_mass("gaussian", np.diff(cdf))
 
-    ensemble = run_ensemble(
-        ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations, cfg.seed
-    )
+    ensemble = run_ensemble(ic, theta, DecoherenceSpec.broken_links(p), n, cfg.realizations,
+                            cfg.seed)
     idx = np.searchsorted(edges, ensemble.mean.sites / math.sqrt(n), side="right") - 1
     inside = (idx >= 0) & (idx < bins)
     quantum = unit_mass("quantum", np.bincount(idx[inside], ensemble.mean.probs[inside], bins))
@@ -611,10 +565,8 @@ def cmd_compare_returns(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     stable_col = unit_mass("stable", stable_mass)
 
     header = ["g", "gaussian", "stable", "quantum"]
-    rows = [
-        [float(c), float(g), float(f), float(q)]
-        for c, g, f, q in zip(centers, gaussian, stable_col, quantum)
-    ]
+    rows = [[float(c), float(g), float(f), float(q)]
+            for c, g, f, q in zip(centers, gaussian, stable_col, quantum)]
     return header, rows
 
 
@@ -626,9 +578,7 @@ def cmd_price_path(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     except (ValueError, OverflowError) as exc:  # a point-mass walk; exp(r) past float range
         raise SelfCheckError(f"price path: {exc}") from exc
     header = ["step", "time", "price"]
-    rows = [
-        [int(k), float(k * model.horizon), float(s)] for k, s in enumerate(prices)
-    ]
+    rows = [[int(k), float(k * model.horizon), float(s)] for k, s in enumerate(prices)]
     return header, rows
 
 
@@ -718,9 +668,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument(
-            "--realizations", type=int, default=None, help="override realization count"
-        )
+        cmd.add_argument("--realizations", type=int, default=None,
+                         help="override realization count")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
