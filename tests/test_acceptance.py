@@ -38,7 +38,7 @@ from helpers import (
     within_k_sem,
 )
 from qwalk import classical
-from qwalk.classical import StableParams, classical_rw_distribution, stable_pdf
+from qwalk.classical import StableParams, _stable_pdfs, classical_rw_distribution, stable_pdf
 from qwalk.coin import CoinAngles, make_su2_coin, make_theta_coin
 from qwalk.decoherence import DecoherenceSpec, run_ensemble
 from qwalk.pricing import DiffusionScaler, QwPriceModel
@@ -531,18 +531,16 @@ def test_a10_stable_density_correctness(monkeypatch):
     """alpha=2 matches the standard normal within 1e-6 on [-6, 6]; alpha=1
     matches the Cauchy within 1e-6; the (alpha=0.5, beta=0.5, c=1/sqrt 2)
     density integrates to 1 within 1e-4 over an adaptively truncated
-    domain."""
-    worst_normal = 0.0
-    params2 = StableParams(2.0, 0.0, c=1 / math.sqrt(2), mu=0.0)
-    for x in np.arange(-6.0, 6.01, 0.25):
-        diff = abs(stable_pdf(float(x), params2) - gaussian_pdf(float(x), 0.0, 1.0))
-        worst_normal = max(worst_normal, diff)
+    domain.  Each grid is one ``_stable_pdfs`` call, whose mirrored
+    abscissae share their phi(t); its values are ``stable_pdf``'s, bit for
+    bit."""
+    xs = [float(x) for x in np.arange(-6.0, 6.01, 0.25)]
+    normal = _stable_pdfs(xs, StableParams(2.0, 0.0, c=1 / math.sqrt(2), mu=0.0))
+    worst_normal = max(abs(f - gaussian_pdf(x, 0.0, 1.0)) for x, f in zip(xs, normal))
 
-    worst_cauchy = 0.0
-    params1 = StableParams(1.0, 0.0, c=1.0, mu=0.0)
-    for x in np.arange(-6.0, 6.01, 0.5):
-        diff = abs(stable_pdf(float(x), params1) - 1.0 / (math.pi * (1 + x * x)))
-        worst_cauchy = max(worst_cauchy, diff)
+    xs = [float(x) for x in np.arange(-6.0, 6.01, 0.5)]
+    cauchy = _stable_pdfs(xs, StableParams(1.0, 0.0, c=1.0, mu=0.0))
+    worst_cauchy = max(abs(f - 1.0 / (math.pi * (1 + x * x))) for x, f in zip(xs, cauchy))
 
     mass = _stable_total_mass(StableParams(0.5, 0.5, c=1 / math.sqrt(2), mu=0.0), monkeypatch)
     ok = worst_normal < 1e-6 and worst_cauchy < 1e-6 and abs(mass - 1.0) < 1e-4
@@ -587,7 +585,7 @@ def _stable_total_mass(params: StableParams, monkeypatch, tol: float = 1e-4) -> 
     u = np.linspace(-u_max, u_max, 2001)
     x = params.mu + np.sinh(u) * scale
     weights = np.cosh(u) * scale
-    values = np.array([pdf(xx) for xx in x]) * weights
+    values = np.array(_stable_pdfs([float(xx) for xx in x], params)) * weights
     h = u[1] - u[0]
     simpson = h / 3.0 * (
         values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
