@@ -117,8 +117,7 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _object(doc, path: str, required: tuple = (), optional: tuple = (),
-            what: str = "an object") -> dict:
+def _object(doc, path: str, required=(), optional=(), what="an object") -> dict:
     """``doc``, checked to be an object of the ``required`` keys and any of
     the ``optional`` ones; ``what`` names what was expected of a non-object."""
     if not isinstance(doc, dict):
@@ -149,10 +148,9 @@ def _number(v, path: str, lo=None, hi=None) -> float:
 def _integer(v, path: str, lo=None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(path, f"expected an integer, got {v!r}")
-    if abs(v) >= 2**1023:  # past the float range, as _number counts it
-        raise ConfigError(path, f"must be finite, got {'-' * (v < 0)}inf")
     if lo is not None and v < lo:
         raise ConfigError(path, f"must be >= {lo}, got {v}")
+    _number(v, path)  # an integer past the float range counts as infinite too
     return v
 
 
