@@ -113,10 +113,6 @@ class ExperimentConfig:
         }
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
 def _object(doc, path: str, required=(), optional=(), what="an object") -> dict:
     """``doc``, checked to be an object of the ``required`` keys and any of
     the ``optional`` ones; ``what`` names what was expected of a non-object."""
@@ -129,6 +125,10 @@ def _object(doc, path: str, required=(), optional=(), what="an object") -> dict:
         if key not in doc:
             raise ConfigError(_join(path, key), "missing required key")
     return doc
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 def _number(v, path: str, lo=None, hi=None) -> float:

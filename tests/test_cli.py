@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import copy
 import dataclasses
@@ -964,7 +963,10 @@ def _mutate(pick, doc):
     """Replace one leaf of ``doc``, or add or delete one key or list item;
     ``pick(options)`` draws one of a list."""
     nodes = dict(_nodes(doc))
-    leaf = lambda: copy.deepcopy(pick(FUZZ_LEAVES))  # noqa: E731
+
+    def leaf():
+        return copy.deepcopy(pick(FUZZ_LEAVES))
+
     op = pick(["replace", "replace", "delete", "add"])
     if op == "add":
         node = nodes[pick([path for path, node in nodes.items()
@@ -1014,7 +1016,7 @@ PARSE_OUTCOMES_SHA256 = "f3ee81519d7709a600f8642956204a482beea459fb1aa055746beca
 def test_parse_outcomes_of_mutated_configs_are_pinned():
     # each config's parsed values, or its error's type, field and message, and
     # what parsing printed: a rewrite of the config layer must keep them all
-    rng, lines, kinds = random.Random(28), [], collections.Counter()
+    rng, lines, parsed = random.Random(28), [], 0
     for _ in range(6000):
         base = rng.choice(FUZZ_DOCS)
         doc = copy.deepcopy(base)
@@ -1024,11 +1026,10 @@ def test_parse_outcomes_of_mutated_configs_are_pinned():
             try:
                 cfg = parse_config(doc, experiment=base["experiment"])
                 outcome = [repr(cfg), repr(_spelled_out(cfg.spec))]
+                parsed += 1
             except ConfigError as exc:
                 outcome = ["ConfigError", exc.path, str(exc)]
-        kinds[outcome[0] == "ConfigError"] += 1
         lines.append(json.dumps([outcome, err.getvalue()]))
-    # about one config in 14 parses
-    assert kinds[False] > 300
+    assert parsed == 458  # the corpus keeps its share of valid configs
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PARSE_OUTCOMES_SHA256
